@@ -14,7 +14,7 @@ Exit codes: 0 success / all selected checks pass, 1 verification failure,
 Data goes to stdout, diagnostics (including timing) to stderr; `verify`
 output for a fixed seed is byte-identical across runs.  The environment
 variable BIANCHIQ_ORDER overrides the default series order; explicit flags
-always win.
+always win, and a value that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ ORDER_ENV = "BIANCHIQ_ORDER"
 
 
 def _default_order() -> int:
+    text = os.environ.get(ORDER_ENV, "30")
     try:
-        return int(os.environ.get(ORDER_ENV, "30"))
+        return int(text)
     except ValueError:
-        return 30
+        raise ValueError(f"{ORDER_ENV} must be an integer, got {text!r}") from None
 
 
 def parse_complex(text: str) -> complex:
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bianchiq",
         description="Verification kernel for the Bianchi quintic and the level-10 modular function fields.",
-        epilog=f"The environment variable {ORDER_ENV} sets the default series order (currently {_default_order()}); flags always win.",
+        epilog=f"The environment variable {ORDER_ENV} sets the default series order (30 when unset); flags always win.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

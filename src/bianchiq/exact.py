@@ -13,6 +13,29 @@ Every operation propagates the tightest provable truncation:
 so a coefficient inside the reported window is always exact, never an
 artifact of discarded tail terms.  Ramifications are merged by lcm on binary
 operations.  All values are immutable after construction.
+
+Coefficients are stored as Fractions, but products and inverses are computed
+on integers:
+
+* Each operand window is written as integer numerators over one common
+  denominator (the lcm of its coefficient denominators).
+* Only every s-th slot is kept, where the stride s is the gcd of the
+  relative indices of the nonzero coefficients (5 for phi, 24 for eta), so
+  the integer work is on the compressed series in q^(s/ram).
+* Integer series are multiplied by Kronecker substitution (Harvey, J.
+  Symbolic Comput. 44, 2009): each is packed into one Python int, slot k at
+  bit k*w with signed values, where w bits hold the bound
+  max|A| * max|B| * min(len A, len B), and max|A| and max|B| themselves (one
+  operand may be all zeros), plus a sign bit.  One bigint multiply
+  gives the product, which is read back slot by slot after a bias of
+  2^(w-1) per slot absorbs the borrows of negative slots.  The result is
+  scattered back at stride s and divided by the product of the denominators.
+* The inverse runs Newton's iteration w <- w - w*(u*w - 1) on that integer
+  multiply, doubling the precision at each step (Brent and Kung, JACM 25,
+  1978).  A leading numerator u0 other than 1 is handled on the same path:
+  V(x) = U(u0*x)/u0 has integer coefficients and V0 = 1, so its inverse W is
+  integral, and the inverse of u = U/D has coefficient W_k*D/u0^(k+1) at
+  relative index k.
 """
 
 from __future__ import annotations
@@ -21,6 +44,8 @@ import math
 from fractions import Fraction
 
 Rat = Fraction
+
+_ZERO = Fraction(0)
 
 
 class ZeroLeadingCoefficient(ArithmeticError):
@@ -238,18 +263,15 @@ class PuiseuxSeries:
             return PuiseuxSeries(a.ram, t, t, ())
         lo = a.lo + b.lo
         n = t - lo
-        c = [Fraction(0)] * n
-        bco = b.coeffs
-        nb = len(bco)
-        for i, va in enumerate(a.coeffs):
-            if not va:
-                continue
-            base = i
-            top = min(nb, n - i)
-            for j in range(top):
-                vb = bco[j]
-                if vb:
-                    c[base + j] += va * vb
+        na, da, sa = _integer_window(a.coeffs[:n])
+        nb, db, sb = _integer_window(b.coeffs[:n])
+        s = math.gcd(sa, sb) or n
+        prod = _int_mul(na[::s], nb[::s], -(-n // s))
+        d = da * db
+        c = [_ZERO] * n
+        for k, v in enumerate(prod):
+            if v:
+                c[k * s] = Fraction(v, d)
         return PuiseuxSeries(a.ram, lo, t, c)
 
     __rmul__ = __mul__
@@ -262,19 +284,24 @@ class PuiseuxSeries:
         """
         if self.is_zero():
             raise ZeroLeadingCoefficient("series is zero through its known window")
-        u = self.coeffs
         n = self.trunc - self.lo
-        inv0 = 1 / u[0]
-        w = [Fraction(0)] * n
-        w[0] = inv0
-        for k in range(1, n):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                ui = u[i] if i < n else None
-                if ui:
-                    s += ui * w[k - i]
-            w[k] = -inv0 * s
-        return PuiseuxSeries(self.ram, -self.lo, self.trunc - 2 * self.lo, w)
+        u, d, s = _integer_window(self.coeffs)
+        s = s or n
+        u0 = u[0]
+        # V(x) = U(u0 x) / u0 on the compressed slots: integral, V0 = 1
+        v = [x * u0 ** (k * s - 1) if k else 1 for k, x in enumerate(u[::s])]
+        w = [1]
+        m = len(v)
+        while len(w) < m:
+            prec = len(w)
+            top = min(2 * prec, m)
+            err = _int_mul(v[:top], w, top)[prec:]
+            w += [-x for x in _int_mul(w, err, top - prec)]
+        c = [_ZERO] * n
+        for k, x in enumerate(w):
+            if x:
+                c[k * s] = Fraction(x * d, u0 ** (k * s + 1))
+        return PuiseuxSeries(self.ram, -self.lo, self.trunc - 2 * self.lo, c)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -360,6 +387,50 @@ class PuiseuxSeries:
         return cls(int(obj["ram"]), int(obj["lo"]), int(obj["trunc"]), coeffs)
 
 
+def _integer_window(coeffs):
+    """(numerators, common denominator, stride) of a coefficient window.
+
+    The numerators are integers over the lcm of the denominators; the
+    stride is the gcd of the indices of the nonzero entries, 0 when only
+    index 0 is nonzero.
+    """
+    d = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (d // c.denominator) for c in coeffs]
+    s = 0
+    for i, x in enumerate(nums):
+        if x:
+            s = math.gcd(s, i)
+            if s == 1:
+                break
+    return nums, d, s
+
+
+def _pack(xs, width: int) -> int:
+    """sum xs[k] * 2^(8*width*k) for signed xs with |xs[k]| < 2^(8*width-1)."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in xs)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in xs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _int_mul(a, b, m: int) -> list:
+    """The first m coefficients of the product of two integer coefficient
+    lists, by Kronecker substitution: one bigint multiply."""
+    a, b = a[:m], b[:m]
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    # the slots hold the packed inputs as well as the product, which matters
+    # when one operand is all zeros (a Newton step whose error vanished)
+    bound = max(ma * mb * min(len(a), len(b)), ma, mb)
+    # bytes per slot: room for the bound plus a sign bit
+    width = (bound.bit_length() + 8) // 8
+    # a bias of 2^(w-1) per slot makes every slot non-negative, so the low
+    # m slots of the packed product are read back as plain unsigned slots
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((b"\x00" * (width - 1) + b"\x80") * m, "little")
+    packed = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * m)) - 1)
+    raw = packed.to_bytes(width * m, "little")
+    return [int.from_bytes(raw[k * width:(k + 1) * width], "little") - half for k in range(m)]
+
+
 def _floor_index(order, ram: int) -> int:
     n = _rat(order) * ram
     return n.numerator // n.denominator
@@ -380,8 +451,9 @@ def pochhammer_product(factors, prefactor_exp, order) -> PuiseuxSeries:
         raise ValueError("order must exceed the prefactor exponent")
     rel = o - pre
     m_int = int(math.ceil(rel)) + 1
-    body = [Fraction(0)] * (m_int + 1)
-    body[0] = Fraction(1)
+    # the factors are integral, so the body stays in Python ints
+    body = [0] * (m_int + 1)
+    body[0] = 1
     for a, m, e in factors:
         if m < 1:
             raise ValueError("modulus must be >= 1")

@@ -6,6 +6,9 @@ g1, g2, g3 and their discriminant delta, the eta quotients j5 and j10, and
 the modular j-function.  A process-wide cache serves each name at the
 highest order computed so far; callers always receive a view truncated to
 exactly the order they asked for, so results do not depend on cache state.
+The builders read the series they depend on through that cache (g1..g3,
+phi5 and neg_g2_2tau read phi or g2, delta reads g1..g3), so each series
+is built once per order rise, not once per dependent.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def gi_series(i: int, order) -> PuiseuxSeries:
     order = Fraction(order)
     if order <= 0:
         raise ValueError("order must be positive")
-    phi = phi_series(2 * order + 2)
+    phi = named_series("phi", 2 * order + 2)
     if i == 1:
         g = phi ** 2 / phi.subst_q_power(2)
     elif i == 2:
@@ -66,7 +69,7 @@ def gi_series(i: int, order) -> PuiseuxSeries:
 def delta_series(order) -> PuiseuxSeries:
     """(g1-g2)(g2-g3)(g3-g1), the square root of the cubic discriminant."""
     order = Fraction(order)
-    g1, g2, g3 = (gi_series(i, order + 2) for i in (1, 2, 3))
+    g1, g2, g3 = (named_series(f"g{i}", order + 2) for i in (1, 2, 3))
     return ((g1 - g2) * (g2 - g3) * (g3 - g1)).reduce_ram().truncate(order)
 
 
@@ -115,7 +118,7 @@ def _build(name: str, order: Fraction) -> PuiseuxSeries:
     if name == "phi":
         return phi_series(order)
     if name == "phi5":
-        return (phi_series(order + 1) ** 5).reduce_ram().truncate(order)
+        return (named_series("phi", order + 1) ** 5).reduce_ram().truncate(order)
     if name in ("g1", "g2", "g3"):
         return gi_series(int(name[1]), order)
     if name == "delta":
@@ -129,7 +132,7 @@ def _build(name: str, order: Fraction) -> PuiseuxSeries:
     if name == "eta":
         return eta_series(order)
     if name == "neg_g2_2tau":
-        return (-gi_series(2, order / 2 + 1).subst_q_power(2)).reduce_ram().truncate(order)
+        return (-named_series("g2", order / 2 + 1).subst_q_power(2)).reduce_ram().truncate(order)
     raise UnknownName(name)
 
 

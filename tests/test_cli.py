@@ -80,6 +80,14 @@ class TestExpand:
         rc, out, _ = run_cli(capsys, "expand", "phi5", "--order", "6")
         assert out.strip().splitlines()[-1].startswith("5\t")
 
+    @pytest.mark.parametrize("argv", [("expand", "phi5"), ("verify", "delta-squared")])
+    def test_non_integer_env_order_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("BIANCHIQ_ORDER", "abc")
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "BIANCHIQ_ORDER" in err and "'abc'" in err
+
 
 class TestVerify:
     def test_single_check(self, capsys):

@@ -2,6 +2,7 @@
 q-Pochhammer builder, and exact polynomials."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,7 @@ from bianchiq.exact import (
     pochhammer_product,
 )
 
-from conftest import brute_force_product
+from conftest import brute_force_product, dict_mul
 
 
 def mono(e, order, c=1):
@@ -245,6 +246,121 @@ class TestQPoly:
         p = QPoly([1, 0, -2])
         assert p(F(1, 2)) == F(1, 2)
         assert abs(p(1j) - (1 + 2)) < 1e-15
+
+
+# -- differential test of the integer kernel ---------------------------------
+#
+# Products are checked against the dict oracle of conftest and inverses
+# against the schoolbook recurrence below; the expected window is derived
+# here from the truncation rules, not read off the kernel.
+
+LEADING = (F(1), F(2), F(-1), F(-3, 4))
+
+
+def random_series(rng, lead=None):
+    """A series of up to 100 slots on a ram in {1, 2, 5, 10}, nonzero only
+    at multiples of a stride in {1, 2, 5, 24}, with small, mixed-denominator
+    or beyond-2^64 coefficients.  The leading coefficient is ``lead``, or a
+    random one of up to 80 bits."""
+    ram = rng.choice((1, 2, 5, 10))
+    stride = rng.choice((1, 2, 5, 24))
+    lo = rng.randint(-12, 6)
+    n = rng.randint(1, 100)
+    kind = rng.choice(("small", "mixed", "huge"))
+    coeffs = []
+    for i in range(n):
+        if i % stride or rng.random() < 0.2:
+            coeffs.append(F(0))
+        elif kind == "small":
+            coeffs.append(F(rng.randint(-5, 5)))
+        elif kind == "mixed":
+            coeffs.append(F(rng.randint(-50, 50), rng.randint(1, 12)))
+        else:
+            coeffs.append(F(rng.randint(-2 ** 100, 2 ** 100), rng.choice((1, 3, 2 ** 70))))
+    coeffs[0] = lead if lead is not None else F(rng.randint(1, 2 ** 80) * rng.choice((1, -1)))
+    return PuiseuxSeries(ram, lo, lo + n, coeffs)
+
+
+def as_dict(s):
+    return dict(s.terms())
+
+
+def window(s):
+    return (s.ram, s.lo, s.trunc, s.coeffs)
+
+
+def schoolbook_inverse(s):
+    u = s.coeffs
+    n = len(u)
+    w = [1 / u[0]]
+    for k in range(1, n):
+        w.append(-sum((u[i] * w[k - i] for i in range(1, k + 1)), F(0)) / u[0])
+    return (s.ram, -s.lo, s.trunc - 2 * s.lo, tuple(w))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_matches_oracles(seed):
+    rng = random.Random(seed)
+    for lead in LEADING + (None,):
+        a, b = random_series(rng, lead), random_series(rng)
+        ram = math.lcm(a.ram, b.ram)
+        cap = min(a.order + b.valuation(), b.order + a.valuation())
+        lo = int((a.valuation() + b.valuation()) * ram)
+        trunc = int(cap * ram)
+        oracle = dict_mul(as_dict(a), as_dict(b), cap)
+        expected = (ram, lo, trunc, tuple(oracle.get(F(k, ram), F(0)) for k in range(lo, trunc)))
+        assert window(a * b) == expected
+        assert window(a.inverse()) == schoolbook_inverse(a)
+
+
+def polynomial_and_inverse(rng, lead):
+    """A polynomial of up to 4 terms with coefficients up to 10^6 at a
+    stride in {1, 2, 5, 24}, padded to up to 100 slots, and the schoolbook
+    inverse of it, whose own inverse is that short polynomial again.  Late
+    Newton steps then meet an error series that is all zeros."""
+    ram = rng.choice((1, 2, 5, 10))
+    stride = rng.choice((1, 2, 5, 24))
+    lo = rng.randint(-12, 6)
+    n = rng.randint(1, 100)
+    coeffs = [F(0)] * n
+    for i in range(0, min(n, 4 * stride), stride):
+        coeffs[i] = F(rng.randint(-10 ** 6, 10 ** 6))
+    coeffs[0] = lead
+    p = PuiseuxSeries(ram, lo, lo + n, coeffs)
+    return p, PuiseuxSeries(*schoolbook_inverse(p))
+
+
+def test_inverse_of_short_polynomial_inverse():
+    # the truncated 1/(1 - 300q) and a strided variant with u0 = 3
+    s = PuiseuxSeries.from_terms({0: 1, 1: 300, 2: 90000, 3: 27000000}, 4)
+    assert window(s.inverse()) == (1, 0, 4, (F(1), F(-300), F(0), F(0)))
+    p = PuiseuxSeries.from_terms({F(-5, 2): 3, 0: -900}, 30)
+    assert window(p.inverse().inverse()) == window(p)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_round_trips_short_polynomials(seed):
+    rng = random.Random(seed)
+    for lead in LEADING:
+        p, a = polynomial_and_inverse(rng, lead)
+        assert window(a.inverse()) == window(p)
+        assert window(p.inverse()) == window(a)
+        cap = min(a.order + p.valuation(), p.order + a.valuation())
+        oracle = dict_mul(as_dict(a), as_dict(p), cap)
+        assert oracle == {F(0): F(1)}
+        assert as_dict(a * p) == oracle
+
+
+def test_results_are_fractions():
+    # to_json accepts stray ints, so the coefficient type is pinned here,
+    # also where every coefficient is integral
+    a = PuiseuxSeries.from_terms({0: 1, F(2, 5): -3, 2: 4}, 10)
+    b = PuiseuxSeries.from_terms({F(1, 2): 2, 3: 1}, 9)
+    results = [a * b, a.inverse(), a / b, b / a, a * 3, pochhammer_product([(0, 1, 1)], F(1, 24), 8),
+               pochhammer_product([(1, 5, 1), (2, 5, -1)], F(0), 12)]
+    for s in results:
+        assert s.coeffs
+        assert all(type(c) is F for c in s.coeffs)
 
 
 # -- ring axioms on random series (property-based) ---------------------------
