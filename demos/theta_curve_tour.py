@@ -23,13 +23,13 @@ Q = theta_vector(z2, tau)
 print("quadric residual at P:", curve.max_quadric_residual(P, phi))
 
 # The coordinate group law matches addition on the torus.
-S = curve.add(P, Q, phi)
+S = curve.add(P, Q)
 print("P+Q vs theta(z1+z2):  ",
       curve.projective_distance(S, theta_vector(z1 + z2, tau)))
 print("commutativity:        ",
-      curve.projective_distance(S, curve.add(Q, P, phi)))
+      curve.projective_distance(S, curve.add(Q, P)))
 print("P + (-P) = O:         ",
-      curve.projective_distance(curve.add(P, curve.negate(P), phi), curve.neutral(phi)))
+      curve.projective_distance(curve.add(P, curve.negate(P)), curve.neutral(phi)))
 
 # Twisting a point by fifth roots of unity defeats the primary formula;
 # the fallback route still lands on the right point.
@@ -37,14 +37,14 @@ m = 2
 T = tuple(curve.ZETA5 ** (-k * m) * P[k] for k in range(5))
 a1 = curve.add_a1(P, T)
 print("A1 output magnitude on a twist pair:", max(abs(c) for c in a1))
-good = curve.add(P, T, phi)
+good = curve.add(P, T)
 print("fallback lands on theta(2 z1 + m/5):",
       curve.projective_distance(good, theta_vector(2 * z1 + m / 5, tau)))
 
 # 2-torsion: three points built from the cubic roots; each doubles to O.
 print("\n2-torsion")
 for p in curve.two_torsion_points(phi):
-    d = curve.double(p, phi)
+    d = curve.double(p)
     print("  residual", f"{curve.max_quadric_residual(p, phi):.2e}",
           " double->O", f"{curve.projective_distance(d, curve.neutral(phi)):.2e}")
 

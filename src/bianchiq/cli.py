@@ -20,6 +20,7 @@ always win, and a value that is not an integer is a usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -28,6 +29,10 @@ from fractions import Fraction
 from . import congruence, curve, identities, modular, theta
 
 ORDER_ENV = "BIANCHIQ_ORDER"
+
+# The largest relative quadric residual (curve.max_quadric_residual) that
+# an input point of `point add` or `point double` may have.
+ON_CURVE_TOL = 1e-8
 
 
 def _default_order() -> int:
@@ -75,6 +80,8 @@ def _parse_point(text: str):
         pt = tuple(complex(float(c[0]), float(c[1])) for c in arr)
     except (ValueError, TypeError, IndexError) as exc:
         raise ValueError(f"point must be a JSON array of five [re, im] pairs: {text!r}") from exc
+    if not all(cmath.isfinite(c) for c in pt) or not any(pt):
+        raise ValueError(f"point coordinates must be finite and not all zero: {text!r}")
     return pt
 
 
@@ -176,12 +183,13 @@ def _cmd_point(args) -> int:
         raise ValueError(f"{op} needs exactly one point argument")
     if op == "add" and len(pts) != 2:
         raise ValueError("add needs exactly two point arguments")
-    if op == "add":
-        out = curve.normalize_numeric(curve.add(pts[0], pts[1], phi))
-        print(f"residual {curve.max_quadric_residual(out, phi):.3e}", file=sys.stderr)
-        print(json.dumps(_point_json(out)))
-    elif op == "double":
-        out = curve.normalize_numeric(curve.double(pts[0], phi))
+    if op in ("add", "double"):
+        for text, p in zip(args.points, pts):
+            res = curve.max_quadric_residual(p, phi)
+            if not res <= ON_CURVE_TOL:
+                raise ValueError(f"point {text} is not on the curve: "
+                                 f"residual {res:.3e} exceeds {ON_CURVE_TOL:g}")
+        out = curve.normalize_numeric(curve.add(*pts) if op == "add" else curve.double(pts[0]))
         print(f"residual {curve.max_quadric_residual(out, phi):.3e}", file=sys.stderr)
         print(json.dumps(_point_json(out)))
     elif op == "neg":
@@ -190,15 +198,9 @@ def _cmd_point(args) -> int:
     elif op == "on-curve":
         res = [abs(r) for r in curve.quadric_residuals(pts[0], phi)]
         print(json.dumps({"residuals": res, "max_relative": curve.max_quadric_residual(pts[0], phi)}))
-    elif op == "two-torsion":
-        points = [curve.normalize_numeric(p) for p in curve.two_torsion_points(phi)]
-        print(json.dumps({
-            "phi": [phi.real, phi.imag],
-            "points": [_point_json(p) for p in points],
-            "max_quadric_residuals": [curve.max_quadric_residual(p, phi) for p in points],
-        }))
-    elif op == "five-torsion":
-        points = [curve.normalize_numeric(p) for p in curve.five_torsion_points(phi)]
+    else:
+        torsion = curve.two_torsion_points if op == "two-torsion" else curve.five_torsion_points
+        points = [curve.normalize_numeric(p) for p in torsion(phi)]
         print(json.dumps({
             "phi": [phi.real, phi.imag],
             "points": [_point_json(p) for p in points],

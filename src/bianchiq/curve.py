@@ -1,8 +1,11 @@
-"""The Bianchi quintic in P^4 over a pluggable coefficient domain.
+"""The Bianchi quintic in P^4 over either coefficient domain.
 
-A point is a plain 5-tuple of coordinates; the same formulas serve two
-domains: binary64 complex numbers (zero tests are relative-tolerance) and
-exact Puiseux series (zero tests are exact through the known window).
+A point is a plain 5-tuple of coordinates, and one body of formulas serves
+two domains: binary64 complex numbers and exact Puiseux series.  The
+formulas use only ring operations and ``1 / x``, which both domains
+provide.  The domains differ in one place, the zero test ``_vanishes``:
+for series it is exact through the known window, for numbers it compares
+moduli with a relative threshold times the size of the inputs.
 
 Curve, for a parameter phi:
 
@@ -16,9 +19,10 @@ dropped coefficient 11 in the numerator, a halved prefactor, a doubled
 x0-coefficient in one denominator) that still vanish on 2-torsion and so
 evade casual spot checks.  ``weierstrass_map`` computes the forms that
 satisfy Y^2 = X^3 + A X + B exactly in the series domain;
-``weierstrass_map_variant`` keeps the near-miss forms as a mutation
-control, and ``discriminant_check_variant`` does the same for the
-sign-variant discriminant factorization.
+``weierstrass_map_variant`` runs the same body with the near-miss
+coefficients as a mutation control.  The sign-variant discriminant
+factorization is the mutant of the ``weierstrass-discriminant`` check in
+the identities module.
 """
 
 from __future__ import annotations
@@ -27,14 +31,14 @@ import cmath
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import PuiseuxSeries, QPoly
 
+ZETA3 = cmath.exp(2j * math.pi / 3)
 ZETA5 = cmath.exp(2j * math.pi / 5)
 
-# Relative thresholds for the numeric domain's zero tests.
-ADD_DEGENERATE_REL = 1e-12
+# Numeric zero tests: coordinates built from points compare against
+# ZERO_REL times their size; a curve parameter against VALUE_ZERO_ABS.
+ZERO_REL = 1e-12
 VALUE_ZERO_ABS = 1e-30
 
 
@@ -55,29 +59,33 @@ class DenominatorVanishes(ZeroDivisionError):
     """The point lies in the exceptional locus of the birational map."""
 
 
-def _is_series(v) -> bool:
-    return isinstance(v, PuiseuxSeries)
+def _vanishes(values, size=None) -> bool:
+    """The zero test of both domains: True when every value is zero.
+
+    Series are zero when every stored coefficient vanishes through the
+    known window.  Numbers are zero when every modulus is below ZERO_REL *
+    size, where ``size`` is the magnitude the values are built from, or
+    below VALUE_ZERO_ABS when no size is given (a curve parameter).
+    """
+    if isinstance(values[0], PuiseuxSeries):
+        return all(v.is_zero() for v in values)
+    bound = VALUE_ZERO_ABS if size is None else ZERO_REL * size
+    return max(abs(v) for v in values) < bound
 
 
-def _value_is_zero(v) -> bool:
-    if _is_series(v):
-        return v.is_zero()
-    return abs(v) < VALUE_ZERO_ABS
-
-
-def _coords_all_zero(z, scale) -> bool:
-    if _is_series(z[0]):
-        return all(c.is_zero() for c in z)
-    return max(abs(c) for c in z) < ADD_DEGENERATE_REL * scale
+def _size(P) -> float:
+    """The largest coordinate modulus, the scale of the numeric zero test
+    (1 for series, whose zero test takes no scale)."""
+    return 1.0 if isinstance(P[0], PuiseuxSeries) else max(abs(c) for c in P)
 
 
 # -- curve membership -------------------------------------------------------
 
 def quadric_residuals(P, phi):
     """The five quadric values; P lies on the curve iff all are zero."""
-    if _value_is_zero(phi):
+    if _vanishes((phi,)):
         raise ZeroDivisionError("phi fails the zero test; the quadrics need 1/phi")
-    inv = phi.inverse() if _is_series(phi) else 1.0 / phi
+    inv = 1 / phi
     return tuple(
         P[k] * P[k] + phi * P[(k + 2) % 5] * P[(k - 2) % 5] - inv * P[(k + 1) % 5] * P[(k - 1) % 5]
         for k in range(5)
@@ -86,7 +94,7 @@ def quadric_residuals(P, phi):
 
 def max_quadric_residual(P, phi) -> float:
     """Largest residual relative to the largest monomial, numeric domain."""
-    inv = 1.0 / phi
+    inv = 1 / phi
     worst = 0.0
     for k in range(5):
         a = P[k] * P[k]
@@ -101,7 +109,7 @@ def max_quadric_residual(P, phi) -> float:
 
 def neutral(phi):
     """O = (0 : phi : -1 : 1 : -phi)."""
-    if _is_series(phi):
+    if isinstance(phi, PuiseuxSeries):
         one = phi ** 0
         zero = one - one
         return (zero, phi, -one, one, -phi)
@@ -113,7 +121,9 @@ def negate(P):
     return (P[0], P[4], P[3], P[2], P[1])
 
 
-def _a1(x, y):
+def add_a1(x, y):
+    """The biquadratic addition formula A1; it vanishes when y is a
+    fifth-root-of-unity twist of x."""
     return (
         x[2] * x[3] * y[0] ** 2 - x[0] ** 2 * y[2] * y[3],
         x[0] * x[1] * y[3] ** 2 - x[3] ** 2 * y[0] * y[1],
@@ -123,7 +133,8 @@ def _a1(x, y):
     )
 
 
-def _a2(x, y):
+def add_a2(x, y):
+    """The biquadratic addition formula A2, valid where A1 vanishes."""
     return (
         x[1] * x[0] * y[2] ** 2 - x[3] ** 2 * y[0] * y[4],
         x[4] * x[3] * y[0] ** 2 - x[1] ** 2 * y[3] * y[2],
@@ -133,11 +144,7 @@ def _a2(x, y):
     )
 
 
-def _pair_scale(x, y) -> float:
-    return max(abs(c) for c in x) ** 2 * max(abs(c) for c in y) ** 2
-
-
-def add(P, Q, phi=None):
+def add(P, Q):
     """P + Q via the biquadratic formula A1, falling back to A2 when A1
     degenerates (Q a fifth-root-of-unity twist of P).
 
@@ -145,25 +152,17 @@ def add(P, Q, phi=None):
     invariant.  At least one of the two formulas yields a valid point for
     genuine curve points.
     """
-    scale = None if _is_series(P[0]) else _pair_scale(P, Q)
-    z = _a1(P, Q)
-    if not _coords_all_zero(z, scale):
+    size = _size(P) ** 2 * _size(Q) ** 2
+    z = add_a1(P, Q)
+    if not _vanishes(z, size):
         return z
-    z = _a2(P, Q)
-    if _coords_all_zero(z, scale):
+    z = add_a2(P, Q)
+    if _vanishes(z, size):
         raise BothFormulasDegenerate("both addition formulas vanished")
     return z
 
 
-def add_a1(P, Q):
-    return _a1(P, Q)
-
-
-def add_a2(P, Q):
-    return _a2(P, Q)
-
-
-def double(P, phi=None):
+def double(P):
     """2P by the mixed duplication family
     z_k = x_{3k} x_{3k+1} x_{3k+2}^2 - x_{3k} x_{3k-1} x_{3k-2}^2."""
     z = tuple(
@@ -171,8 +170,7 @@ def double(P, phi=None):
         - P[(3 * k) % 5] * P[(3 * k - 1) % 5] * P[(3 * k - 2) % 5] ** 2
         for k in range(5)
     )
-    scale = None if _is_series(P[0]) else max(abs(c) for c in P) ** 4
-    if _coords_all_zero(z, scale):
+    if _vanishes(z, _size(P) ** 4):
         raise DegenerateResult("duplication formula vanished")
     return z
 
@@ -187,13 +185,13 @@ def double_cubic(P):
     )
 
 
-def multiply(P, n: int, phi=None):
+def multiply(P, n: int):
     """n*P by repeated addition (n >= 1); used for torsion-order checks."""
     if n < 1:
         raise ValueError("multiplier must be >= 1")
     acc = P
     for _ in range(n - 1):
-        acc = add(acc, P, phi)
+        acc = add(acc, P)
     return acc
 
 
@@ -228,17 +226,45 @@ def normalize_numeric(P):
 def cubic_roots(phi):
     """Roots of xi^3 - xi^2 + phi^5 xi + phi^5.
 
-    Numeric domain: companion-matrix eigenvalues (branch-cut free).  Series
-    domain: the g_i expansions from the modular module, so the root property
-    remains a downstream check rather than a construction.
+    Numeric domain: Cardano's formula, each root polished by Newton steps,
+    sorted by (real, imag).  Series domain: the g_i expansions from the
+    modular module, so the root property remains a downstream check rather
+    than a construction.
     """
-    if _is_series(phi):
+    if isinstance(phi, PuiseuxSeries):
         from .modular import gi_series
 
         return tuple(gi_series(i, phi.order) for i in (1, 2, 3))
     t = complex(phi) ** 5
-    roots = np.roots([1.0, -1.0, t, t])
-    return tuple(sorted((complex(r) for r in roots), key=lambda v: (v.real, v.imag)))
+    # xi = y + 1/3 gives the depressed cubic y^3 + p y + q
+    p = t - 1 / 3
+    q = 4 * t / 3 - 2 / 27
+    # the larger of the two candidates for u^3 avoids cancellation
+    r = cmath.sqrt(q * q / 4 + p ** 3 / 27)
+    u3 = max(-q / 2 + r, -q / 2 - r, key=abs)
+    u = u3 ** (1 / 3) if u3 else 0j
+    roots = []
+    for k in range(3):
+        uk = u * ZETA3 ** k
+        y = uk - p / (3 * uk) if uk else 0j
+        roots.append(_newton_polish(y + 1 / 3, t))
+    return tuple(sorted(roots, key=lambda v: (v.real, v.imag)))
+
+
+def _newton_polish(x: complex, t: complex) -> complex:
+    """Up to four Newton steps on xi^3 - xi^2 + t xi + t, each kept only
+    while it shrinks the residual."""
+    f = ((x - 1) * x + t) * x + t
+    for _ in range(4):
+        d = (3 * x - 2) * x + t
+        if not f or not d:
+            break
+        y = x - f / d
+        fy = ((y - 1) * y + t) * y + t
+        if abs(fy) >= abs(f):
+            break
+        x, f = y, fy
+    return x
 
 
 def curve_discriminant_value(phi):
@@ -249,7 +275,7 @@ def curve_discriminant_value(phi):
 
 def two_torsion_points(phi):
     """The three 2-torsion points (phi^3 + phi^3/g : phi : g : g : phi)."""
-    if _value_is_zero(phi) or _value_is_zero(curve_discriminant_value(phi)):
+    if _vanishes((phi,)) or _vanishes((curve_discriminant_value(phi),)):
         raise SingularCurve("discriminant zero test fired; 2-torsion is degenerate")
     pts = []
     for g in cubic_roots(phi):
@@ -324,38 +350,13 @@ WEIERSTRASS_A = P20 * Fraction(-1, 48)
 WEIERSTRASS_B = P30 * Fraction(1, 864)
 
 
-def discriminant_check() -> bool:
-    """(P20^3 - P30^2)/1728 == phi^5 (1 - 11 phi^5 - phi^10)^5, exactly."""
-    lhs = (P20 ** 3 - P30 ** 2) / 1728
-    rhs = QPoly.from_terms({5: 1}) * QPoly.from_terms({0: 1, 5: -11, 10: -1}) ** 5
-    return lhs == rhs
-
-
-def discriminant_check_variant() -> bool:
-    """Mutation control: the sign-variant inner factor phi^10 - 11 phi^5 + 1
-    in place of 1 - 11 phi^5 - phi^10.  Measures False, guarding the real
-    check against accepting the wrong sign pattern."""
-    lhs = (P20 ** 3 - P30 ** 2) / 1728
-    rhs = QPoly.from_terms({5: 1}) * QPoly.from_terms({0: 1, 5: -11, 10: 1}) ** 5
-    return lhs == rhs
-
-
-def _check_nonzero_denominator(v, scale):
-    if _is_series(v):
-        if v.is_zero():
-            raise DenominatorVanishes("series denominator is zero through its window")
-        return
-    if abs(v) < 1e-12 * scale:
-        raise DenominatorVanishes("point lies in the exceptional locus of the map")
-
-
 def weierstrass_x(P, phi):
     """The X coordinate of the birational map to Y^2 = X^3 + A X + B."""
     x0, x1, x2, x3, x4 = P
-    scale = 1.0 if _is_series(x0) else max(abs(c) for c in P)
-    _check_nonzero_denominator(x0, scale)
+    if _vanishes((x0,), _size(P)):
+        raise DenominatorVanishes("point lies in the exceptional locus of the map")
     t = phi ** 5
-    inv0 = x0.inverse() if _is_series(x0) else 1.0 / x0
+    inv0 = 1 / x0
     inv0sq = inv0 * inv0
     return (
         (phi ** 10 + 30 * t + 1) / 12
@@ -367,6 +368,21 @@ def weierstrass_x(P, phi):
     )
 
 
+def _weierstrass(P, phi, c6, c, k):
+    """(X, Y_a, Y_b) with Y numerator (phi^11 + c6 phi^6 - phi)^2, prefactor
+    c of Y_a's denominator and x0-coefficient (7 - k phi^5) phi^3 there."""
+    x0, x1, x2, x3, x4 = P
+    t = phi ** 5
+    s = (phi ** 11 + c6 * phi ** 6 - phi) ** 2
+    X = weierstrass_x(P, phi)
+    da = c * phi * ((7 - k * t) * phi ** 3 * x0 + (7 * t + 1) * (x1 + x4) + (3 - 4 * t) * phi * (x2 + x3))
+    db = 2 * ((7 * t + 1) * x0 + (3 * t + 4) * phi ** 2 * (x1 + x4) - (t - 7) * phi ** 3 * (x2 + x3))
+    size = _size(P)
+    if _vanishes((da,), size) or _vanishes((db,), size):
+        raise DenominatorVanishes("point lies in the exceptional locus of the map")
+    return X, s * (x2 - x3) * (1 / da), s * (x1 - x4) * (1 / db)
+
+
 def weierstrass_map(P, phi):
     """(X, Y_a, Y_b) of the birational map; contract Y_a = Y_b and
     Y^2 = X^3 + A(phi) X + B(phi).
@@ -376,34 +392,16 @@ def weierstrass_map(P, phi):
     Y_b = (phi^11 + 11 phi^6 - phi)^2 (x1-x4)
           / (2 ((7 phi^5+1) x0 + (3 phi^5+4) phi^2 (x1+x4) - (phi^5-7) phi^3 (x2+x3)))
     """
-    x0, x1, x2, x3, x4 = P
-    t = phi ** 5
-    s = (phi ** 11 + 11 * phi ** 6 - phi) ** 2
-    scale = 1.0 if _is_series(x0) else max(abs(c) for c in P)
-    X = weierstrass_x(P, phi)
-    da = 2 * phi * ((7 - t) * phi ** 3 * x0 + (7 * t + 1) * (x1 + x4) + (3 - 4 * t) * phi * (x2 + x3))
-    db = 2 * ((7 * t + 1) * x0 + (3 * t + 4) * phi ** 2 * (x1 + x4) - (t - 7) * phi ** 3 * (x2 + x3))
-    _check_nonzero_denominator(da, scale)
-    _check_nonzero_denominator(db, scale)
-    ya = s * (x2 - x3) * (da.inverse() if _is_series(da) else 1.0 / da)
-    yb = s * (x1 - x4) * (db.inverse() if _is_series(db) else 1.0 / db)
-    return X, ya, yb
+    return _weierstrass(P, phi, 11, 2, 1)
 
 
 def weierstrass_map_variant(P, phi):
     """Mutation control: the near-miss Y expressions (numerator
-    (phi^11 + phi^6 - phi)^2, prefactors 1/phi and 1/2, x0-coefficient
-    7 - 2 phi^5).  These vanish on 2-torsion like the real map but fail the
-    Weierstrass equation elsewhere, which the tests assert."""
-    x0, x1, x2, x3, x4 = P
-    t = phi ** 5
-    s = (phi ** 11 + phi ** 6 - phi) ** 2
-    X = weierstrass_x(P, phi)
-    da = phi * ((7 - 2 * t) * phi ** 3 * x0 + (7 * t + 1) * (x1 + x4) + (3 - 4 * t) * phi * (x2 + x3))
-    db = 2 * ((7 * t + 1) * x0 + (3 * t + 4) * phi ** 2 * (x1 + x4) - (t - 7) * phi ** 3 * (x2 + x3))
-    ya = s * (x2 - x3) * (da.inverse() if _is_series(da) else 1.0 / da)
-    yb = s * (x1 - x4) * (db.inverse() if _is_series(db) else 1.0 / db)
-    return X, ya, yb
+    (phi^11 + phi^6 - phi)^2, prefactor 1 in place of 2 in Y_a's
+    denominator, x0-coefficient 7 - 2 phi^5).  These vanish on 2-torsion
+    like the real map but fail the Weierstrass equation elsewhere, which
+    the tests assert."""
+    return _weierstrass(P, phi, 1, 1, 2)
 
 
 def weierstrass_residual(X, Y, phi):

@@ -43,8 +43,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 
 
@@ -118,7 +116,7 @@ class PuiseuxSeries:
         return cls(ram, lo, t, c)
 
     @classmethod
-    def one(cls, order, ram: int = 1) -> "PuiseuxSeries":
+    def one(cls, order) -> "PuiseuxSeries":
         return cls.monomial(0, order, 1)
 
     @classmethod
@@ -205,13 +203,18 @@ class PuiseuxSeries:
         )
 
     def truncate(self, order) -> "PuiseuxSeries":
-        """Forget all coefficients at exponents >= order."""
-        t = _floor_index(_rat(order), self.ram)
-        if t >= self.trunc:
+        """Forget all coefficients at exponents >= order.
+
+        An order off the grid refines the grid to lcm(ram, order's
+        denominator), so an order below self.order is kept exactly."""
+        o = _rat(order)
+        if o >= self.order:
             return self
-        if t <= self.lo:
-            return PuiseuxSeries(self.ram, t, t, ())
-        return PuiseuxSeries(self.ram, self.lo, t, self.coeffs[: t - self.lo])
+        s = self._rescaled(math.lcm(self.ram, o.denominator) // self.ram)
+        t = int(o * s.ram)
+        if t <= s.lo:
+            return PuiseuxSeries(s.ram, t, t, ())
+        return PuiseuxSeries(s.ram, s.lo, t, s.coeffs[: t - s.lo])
 
     # -- ring operations ----------------------------------------------------
 
@@ -318,7 +321,7 @@ class PuiseuxSeries:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = PuiseuxSeries.one(Fraction(self.trunc - self.lo, self.ram), self.ram)
+        result = PuiseuxSeries.one(Fraction(self.trunc - self.lo, self.ram))
         base = self
         while n:
             if n & 1:

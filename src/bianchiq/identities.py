@@ -15,7 +15,9 @@ execution order.  Where an identity admits a near-miss variant (a flipped
 nullwert cube in the uniform duplication line, a sign-variant discriminant
 factor, near-miss Weierstrass Y expressions), the registry checks the form
 that actually verifies and the variant is kept as a mutation control; see
-``duplication_uniform_sign`` and the curve module.
+``duplication_uniform_sign``, the mutant of ``weierstrass-discriminant``
+and ``curve.weierstrass_map_variant``.  The registry is built once, at
+import.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import curve, modular, theta
 from .exact import PuiseuxSeries, QPoly
@@ -352,12 +355,11 @@ _EXACT_SERIES = {
 
 
 def _poly_weier_disc(mutate: bool = False):
-    p20 = curve.P20
-    if mutate:
-        p20 = p20 + QPoly.from_terms({15: 1})
-    lhs = (p20 ** 3 - curve.P30 ** 2) / 1728
-    rhs = QPoly.from_terms({5: 1}) * QPoly.from_terms({0: 1, 5: -11, 10: -1}) ** 5
-    return lhs == rhs
+    # the mutant is the near-miss sign variant phi^10 - 11 phi^5 + 1 of the
+    # inner factor, which agrees with 1 - 11 phi^5 - phi^10 at phi^5 = 0
+    inner = QPoly.from_terms({0: 1, 5: -11, 10: 1 if mutate else -1})
+    lhs = (curve.P20 ** 3 - curve.P30 ** 2) / 1728
+    return lhs == QPoly.from_terms({5: 1}) * inner ** 5
 
 
 def _poly_cubic_disc(mutate: bool = False):
@@ -409,50 +411,44 @@ def _primed(w, x, y, z):
 
 H = Fraction(1, 2)
 
-# Chain identities: (lhs terms, rhs terms) over either the free (w,x,y,z)
-# with the half-sum primed arguments, or the specialized argument lists.
-# Each term is (sign, indices, which argument tuple: 0 = plain, 1 = primed).
+# The chain identities 2..10 as (lhs, rhs).  A side is (arguments,
+# products): the arguments name one of the tuples (v0, v1, v2, v3) built in
+# _chain_eq, and a product (sign, a, b) is the signed four-term product
+# theta_a(v0) theta_b(v1) theta_b(v2) theta_b(v3).
+CHAIN_FORMULAS = {
+    2: (("plain", ((-1, 3 * H, 5 * H), (1, 4, 0))), ("primed", ((1, 2, 2), (-1, 9 * H, 9 * H)))),
+    3: (("plain", ((1, 3 * H, 3 * H), (-1, 4, 4))), ("primed", ((1, H, 5 * H), (-1, 3, 0)))),
+    4: (("plain", ((-1, H, 3 * H), (1, 3, 4))), ("primed", ((1, 0, 2), (-1, 5 * H, 9 * H)))),
+    5: (("plain", ((1, H, H), (-1, 3, 3))), ("primed", ((1, 7 * H, 5 * H), (-1, 1, 0)))),
+    6: (("plain", ((-1, 9 * H, H), (1, 2, 3))), ("primed", ((1, 3, 2), (-1, H, 9 * H)))),
+    7: (("sum", ((-1, 7 * H, 5 * H), (-1, 1, 0))), ("pairs", ((1, 3, 3), (-1, H, H)))),
+    8: (("sum", ((1, H, H), (1, 3, 3))), ("pairs", ((1, 3, 3), (1, H, H)))),
+    9: (("sum", ((1, H, H), (-1, 3, 3))), ("sum", ((1, 7 * H, 5 * H), (-1, 1, 0)))),
+    10: (("pairs10", ((1, 3, 3),)), ("sum", ((1, 3, 3), (-1, 1, 0)))),
+}
+
+
+def _chain_side(tau, side, args) -> complex:
+    key, products = side
+    total = 0
+    for sign, a, b in products:
+        p = _four_product(tau, (a, b, b, b), args[key])
+        total += p if sign > 0 else -p
+    return total
 
 
 def _chain_eq(number: int, cfg: VerifyConfig, rng) -> float:
+    lhs_side, rhs_side = CHAIN_FORMULAS[number]
     worst = 0.0
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
-        t = lambda k, a: theta.theta_k(k, a, tau)
         w, x, y, z = (cfg.random_z(rng) for _ in range(4))
-        p = _primed(w, x, y, z)
-        pl = (w, x, y, z)
         s = x + y + z
-        if number == 2:
-            lhs = -_four_product(tau, [3 * H, 5 * H, 5 * H, 5 * H], pl) + _four_product(tau, [4, 0, 0, 0], pl)
-            rhs = _four_product(tau, [2] * 4, p) - _four_product(tau, [9 * H] * 4, p)
-        elif number == 3:
-            lhs = _four_product(tau, [3 * H] * 4, pl) - _four_product(tau, [4] * 4, pl)
-            rhs = _four_product(tau, [H, 5 * H, 5 * H, 5 * H], p) - _four_product(tau, [3, 0, 0, 0], p)
-        elif number == 4:
-            lhs = -_four_product(tau, [H, 3 * H, 3 * H, 3 * H], pl) + _four_product(tau, [3, 4, 4, 4], pl)
-            rhs = _four_product(tau, [0, 2, 2, 2], p) - _four_product(tau, [5 * H, 9 * H, 9 * H, 9 * H], p)
-        elif number == 5:
-            lhs = _four_product(tau, [H] * 4, pl) - _four_product(tau, [3] * 4, pl)
-            rhs = _four_product(tau, [7 * H, 5 * H, 5 * H, 5 * H], p) - _four_product(tau, [1, 0, 0, 0], p)
-        elif number == 6:
-            lhs = -_four_product(tau, [9 * H, H, H, H], pl) + _four_product(tau, [2, 3, 3, 3], pl)
-            rhs = _four_product(tau, [3, 2, 2, 2], p) - _four_product(tau, [H, 9 * H, 9 * H, 9 * H], p)
-        elif number == 7:
-            lhs = -t(7 * H, s) * t(5 * H, x) * t(5 * H, y) * t(5 * H, z) - t(1, s) * t(0, x) * t(0, y) * t(0, z)
-            rhs = t(3, 0) * t(3, y + z) * t(3, z + x) * t(3, x + y) - t(H, 0) * t(H, y + z) * t(H, z + x) * t(H, x + y)
-        elif number == 8:
-            lhs = t(H, s) * t(H, x) * t(H, y) * t(H, z) + t(3, s) * t(3, x) * t(3, y) * t(3, z)
-            rhs = t(3, 0) * t(3, y + z) * t(3, z + x) * t(3, x + y) + t(H, 0) * t(H, y + z) * t(H, z + x) * t(H, x + y)
-        elif number == 9:
-            lhs = t(H, s) * t(H, x) * t(H, y) * t(H, z) - t(3, s) * t(3, x) * t(3, y) * t(3, z)
-            rhs = t(7 * H, s) * t(5 * H, x) * t(5 * H, y) * t(5 * H, z) - t(1, s) * t(0, x) * t(0, y) * t(0, z)
-        elif number == 10:
-            lhs = t(3, 0) * t(3, x + y) * t(3, y + z) * t(3, z + x)
-            rhs = t(3, s) * t(3, x) * t(3, y) * t(3, z) - t(1, s) * t(0, x) * t(0, y) * t(0, z)
-        else:
-            raise UnknownName(f"chain-eq{number}")
-        worst = max(worst, _rel(lhs, rhs))
+        # chain 10 writes its pair sums in another order than chains 7 and
+        # 8; each keeps its own, since the order of the factors moves floats
+        args = {"plain": (w, x, y, z), "primed": _primed(w, x, y, z), "sum": (s, x, y, z),
+                "pairs": (0, y + z, z + x, x + y), "pairs10": (0, x + y, y + z, z + x)}
+        worst = max(worst, _rel(_chain_side(tau, lhs_side, args), _chain_side(tau, rhs_side, args)))
     return worst
 
 
@@ -523,10 +519,8 @@ def _duplication_cubic(cfg: VerifyConfig, rng) -> float:
         x = theta.theta_vector(z, tau)
         x2 = theta.theta_vector(2 * z, tau)
         n3 = theta.theta_k(3, 0.0, tau)
-        for k in range(5):
-            lhs = n3 ** 3 * x2[k]
-            rhs = x[(3 * k + 2) % 5] * x[(3 * k + 1) % 5] ** 3 - x[(3 * k - 1) % 5] ** 3 * x[(3 * k - 2) % 5]
-            worst = max(worst, _rel(lhs, rhs))
+        for k, rhs in enumerate(curve.double_cubic(x)):
+            worst = max(worst, _rel(n3 ** 3 * x2[k], rhs))
     return worst
 
 
@@ -538,13 +532,8 @@ def _duplication_mixed(cfg: VerifyConfig, rng) -> float:
         x = theta.theta_vector(z, tau)
         x2 = theta.theta_vector(2 * z, tau)
         n = theta.nullwerte(tau)
-        for k in range(5):
-            lhs = n[3] ** 2 * n[1] * x2[k]
-            rhs = (
-                x[(3 * k) % 5] * x[(3 * k + 1) % 5] * x[(3 * k + 2) % 5] ** 2
-                - x[(3 * k) % 5] * x[(3 * k - 1) % 5] * x[(3 * k - 2) % 5] ** 2
-            )
-            worst = max(worst, _rel(lhs, rhs))
+        for k, rhs in enumerate(curve.double(x)):
+            worst = max(worst, _rel(n[3] ** 2 * n[1] * x2[k], rhs))
     return worst
 
 
@@ -649,6 +638,20 @@ def _jacobi_a4(cfg: VerifyConfig, rng) -> float:
     return worst
 
 
+_NUMERIC = {
+    "jacobi-A4": (_jacobi_a4, "the four-term product main identity"),
+    "duplication-cubic": (_duplication_cubic, "duplication, cubic family (theta3(0)^3 prefactor)"),
+    "duplication-mixed": (_duplication_mixed, "duplication, mixed family (theta3(0)^2 theta1(0) prefactor)"),
+    "theta-transforms": (_theta_transforms, "the six quasi-periodicity rules and parity"),
+    "theta-nullwerte": (_theta_nullwerte, "theta0(0)=0, theta3(0)=-theta2(0), theta4(0)=-theta1(0)"),
+    "bianchi-quadrics-theta": (_bianchi_quadrics, "the five quadrics on theta coordinate vectors"),
+    "addition-map-A1A2": (_addition_map, "A1/A2 coordinate addition against theta vectors of the sum"),
+    "five-torsion": (_five_torsion, "25 points of order 5: membership and additive order"),
+    "weierstrass-map": (_weierstrass_map_check,
+                        "X,Y map: Y_a=Y_b, the curve equation, and 2-torsion mapping to Y=0"),
+}
+
+
 # -- registry -----------------------------------------------------------------
 
 
@@ -661,55 +664,41 @@ class IdentityCheck:
     mutation_target: str | None = None
 
 
-def registry() -> tuple[IdentityCheck, ...]:
+def _build_registry() -> tuple[IdentityCheck, ...]:
     checks = []
     for name, (body, target, desc) in _EXACT_SERIES.items():
         checks.append(IdentityCheck(name, "exact_series", desc, body, target))
     for name, (fn, desc) in _EXACT_POLY.items():
         checks.append(IdentityCheck(name, "exact_poly", desc, fn))
-    checks.append(IdentityCheck("jacobi-A4", "numeric", "the four-term product main identity", _jacobi_a4))
-    for i in range(2, 11):
-        checks.append(
-            IdentityCheck(
-                f"chain-eq{i}", "numeric", f"derived four-term identity {i} of the shift chain",
-                (lambda i: lambda cfg, rng: _chain_eq(i, cfg, rng))(i),
-            )
-        )
+    for name, (fn, desc) in _NUMERIC.items():
+        checks.append(IdentityCheck(name, "numeric", desc, fn))
+    for i in sorted(CHAIN_FORMULAS):
+        checks.append(IdentityCheck(f"chain-eq{i}", "numeric",
+                                    f"derived four-term identity {i} of the shift chain", partial(_chain_eq, i)))
     for i in sorted(ADDITION_FORMULAS):
-        checks.append(
-            IdentityCheck(
-                f"addition-eq{i}", "numeric", f"coordinate addition formula {i}",
-                (lambda i: lambda cfg, rng: _addition_eq(i, cfg, rng))(i),
-            )
-        )
-    checks.append(IdentityCheck("duplication-cubic", "numeric",
-                                "duplication, cubic family (theta3(0)^3 prefactor)", _duplication_cubic))
-    checks.append(IdentityCheck("duplication-mixed", "numeric",
-                                "duplication, mixed family (theta3(0)^2 theta1(0) prefactor)", _duplication_mixed))
-    checks.append(IdentityCheck("theta-transforms", "numeric",
-                                "the six quasi-periodicity rules and parity", _theta_transforms))
-    checks.append(IdentityCheck("theta-nullwerte", "numeric",
-                                "theta0(0)=0, theta3(0)=-theta2(0), theta4(0)=-theta1(0)", _theta_nullwerte))
-    checks.append(IdentityCheck("bianchi-quadrics-theta", "numeric",
-                                "the five quadrics on theta coordinate vectors", _bianchi_quadrics))
-    checks.append(IdentityCheck("addition-map-A1A2", "numeric",
-                                "A1/A2 coordinate addition against theta vectors of the sum", _addition_map))
-    checks.append(IdentityCheck("five-torsion", "numeric",
-                                "25 points of order 5: membership and additive order", _five_torsion))
-    checks.append(IdentityCheck("weierstrass-map", "numeric",
-                                "X,Y map: Y_a=Y_b, the curve equation, and 2-torsion mapping to Y=0", _weierstrass_map_check))
+        checks.append(IdentityCheck(f"addition-eq{i}", "numeric",
+                                    f"coordinate addition formula {i}", partial(_addition_eq, i)))
     return tuple(sorted(checks, key=lambda c: c.name))
 
 
+_REGISTRY = _build_registry()
+_BY_NAME = {c.name: c for c in _REGISTRY}
+
+
+def registry() -> tuple[IdentityCheck, ...]:
+    """Every check, sorted by name; built once, at import."""
+    return _REGISTRY
+
+
 def get_check(name: str) -> IdentityCheck:
-    for c in registry():
-        if c.name == name:
-            return c
-    raise UnknownName(name)
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise UnknownName(name) from None
 
 
 def check_names() -> tuple[str, ...]:
-    return tuple(c.name for c in registry())
+    return tuple(_BY_NAME)
 
 
 def run_identity(name: str, cfg: VerifyConfig | None = None, *, mutate: bool = False) -> CheckResult:
@@ -737,9 +726,8 @@ def run_all(cfg: VerifyConfig | None = None, names=None) -> Report:
     """Run every check (or the named subset), deterministically."""
     cfg = cfg or VerifyConfig()
     selected = check_names() if names is None else tuple(names)
-    known = set(check_names())
     for n in selected:
-        if n not in known:
+        if n not in _BY_NAME:
             raise UnknownName(n)
     t0 = time.perf_counter()
     results = tuple(run_identity(n, cfg) for n in sorted(selected))

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 from bianchiq import curve, modular, theta
 from bianchiq.cli import main as cli_main
 from bianchiq.congruence import enumerate_group, genus_data, get_spec, image_of, subgroup_report
-from bianchiq.identities import VerifyConfig, registry, run_all
+from bianchiq.identities import VerifyConfig, registry, run_all, run_identity
 
 SEED = 7
 
@@ -68,8 +68,8 @@ def test_criterion_3_exact_polynomials():
     # the honest expansion of (P20^3 - P30^2)/1728 is
     # phi^5 (1 - 11 phi^5 - phi^10)^5, matching the cubic discriminant's
     # inner factor; the sign-variant factorization must fail
-    assert curve.discriminant_check()
-    assert not curve.discriminant_check_variant()
+    assert run_identity("weierstrass-discriminant").status == "pass"
+    assert run_identity("weierstrass-discriminant", mutate=True).status == "fail"
     rep = run_all(VerifyConfig(series_order=12, seed=SEED),
                   ["weierstrass-discriminant", "cubic-discriminant-factorization"])
     assert rep.failed == 0
@@ -137,7 +137,7 @@ def test_criterion_6_torsion():
     for p in curve.two_torsion_points(phi):
         for r in curve.quadric_residuals(p, phi):
             assert r.is_zero() and r.order >= 30
-        assert curve.projective_equal_series(curve.double(p, phi), o)
+        assert curve.projective_equal_series(curve.double(p), o)
 
     phin = theta.phi_numeric(1.1j)
     on = curve.neutral(phin)

@@ -170,6 +170,39 @@ class TestPoint:
 
         assert projective_distance(got, neutral(phi)) < 1e-9
 
+    OFF_CURVE = json.dumps([[1, 0], [0.3, 0], [0.2, 0], [0.1, 0], [0.4, 0]])
+
+    def test_add_rejects_point_off_curve(self, capsys):
+        rc, out, _ = run_cli(capsys, "point", "five-torsion", "--tau", "1.1i")
+        on_curve = json.dumps(json.loads(out)["points"][1])
+        rc, out, err = run_cli(capsys, "point", "add", on_curve, self.OFF_CURVE, "--tau", "1.1i")
+        assert rc == 2 and out == ""
+        assert self.OFF_CURVE in err and "not on the curve" in err
+
+    def test_double_rejects_point_off_curve(self, capsys):
+        rc, out, err = run_cli(capsys, "point", "double", self.OFF_CURVE, "--tau", "1.1i")
+        assert rc == 2 and out == ""
+        assert self.OFF_CURVE in err and "not on the curve" in err
+
+    @pytest.mark.parametrize("point", ["[[NaN,0],[0,0],[0,0],[0,0],[0,0]]",
+                                       "[[0,0],[0,0],[0,0],[0,0],[0,0]]"])
+    def test_double_rejects_non_point(self, capsys, point):
+        # a NaN coordinate reads as residual 0, and so does the zero vector
+        rc, out, err = run_cli(capsys, "point", "double", point, "--tau", "1.1i")
+        assert rc == 2 and out == ""
+        assert point in err
+
+    def test_double_accepts_theta_point(self, capsys):
+        from bianchiq.curve import max_quadric_residual
+        from bianchiq.theta import phi_numeric, theta_vector
+
+        p = theta_vector(0.13 + 0.07j, 1.1j)
+        assert max_quadric_residual(p, phi_numeric(1.1j)) < 1e-14
+        point = json.dumps([[c.real, c.imag] for c in p])
+        rc, out, _ = run_cli(capsys, "point", "double", point, "--tau", "1.1i")
+        assert rc == 0
+        assert len(json.loads(out)) == 5
+
     def test_five_torsion_count(self, capsys):
         rc, out, _ = run_cli(capsys, "point", "five-torsion", "--phi", "0.25")
         assert rc == 0
@@ -235,6 +268,15 @@ class TestSubprocess:
         assert r1.returncode == 0 and r2.returncode == 0
         assert r1.stdout == r2.stdout
         assert b"elapsed" in r1.stderr and b"elapsed" not in r1.stdout
+
+    def test_cli_import_does_not_load_numpy(self):
+        import subprocess
+        import sys
+
+        r = subprocess.run([sys.executable, "-c",
+                            "import sys, bianchiq.cli; print('numpy' in sys.modules)"],
+                           capture_output=True, text=True)
+        assert r.returncode == 0 and r.stdout.strip() == "False"
 
     def test_usage_error_exit_code(self):
         import subprocess

@@ -65,6 +65,22 @@ class TestImages:
         with pytest.raises(NotAGroup):
             SubgroupSpec.from_residues("bogus", 10, [(1, 0, 0, 1), (1, 1, 0, 1)])
 
+    def test_direct_construction_checks_closure(self):
+        with pytest.raises(NotAGroup):
+            SubgroupSpec("bogus", 10, frozenset({(1, 0, 0, 1), (1, 1, 0, 1)}))
+        with pytest.raises(NotAGroup):
+            SubgroupSpec("no identity", 10, frozenset({(1, 1, 0, 1)}))
+
+    def test_images_of_builtins_are_subgroups(self):
+        # image_of does not re-check closure: the image is the preimage of a
+        # subgroup under reduction, which this test confirms for every
+        # built-in at its own modulus and at 10
+        for spec in builtin_specs().values():
+            for n in {spec.modulus, 10}:
+                img = image_of(spec, n)
+                assert tuple(v % n for v in (1, 0, 0, 1)) in img, (spec.name, n)
+                assert all(mat_mul(g, h, n) in img for g in img for h in img), (spec.name, n)
+
 
 GENUS_TABLE = {
     "Gamma0(5)": 0,

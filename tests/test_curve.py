@@ -10,6 +10,7 @@ import pytest
 
 from bianchiq import curve
 from bianchiq.exact import PuiseuxSeries
+from bianchiq.identities import run_identity
 from bianchiq.modular import named_series
 from bianchiq.theta import phi_numeric, theta_vector
 
@@ -96,7 +97,7 @@ class TestAdd:
             tau = rand_tau()
             phi = phi_numeric(tau)
             p = theta_vector(rand_z(), tau)
-            s = curve.add(p, curve.neutral(phi), phi)
+            s = curve.add(p, curve.neutral(phi))
             assert curve.projective_distance(s, p) < 1e-12
 
     def test_matches_torus_addition(self):
@@ -125,7 +126,7 @@ class TestAdd:
             tau = rand_tau()
             phi = phi_numeric(tau)
             p = theta_vector(rand_z(), tau)
-            s = curve.add(p, curve.negate(p), phi)
+            s = curve.add(p, curve.negate(p))
             assert curve.projective_distance(s, curve.neutral(phi)) < 1e-8
 
     def test_a1_a2_agree_when_both_valid(self):
@@ -159,7 +160,7 @@ class TestAdd:
         # the same formulas over exact series: P + O is x0-scaled P exactly
         phi = named_series("phi", 12)
         p = series_theta_vector(F(1, 3), 12)
-        s = curve.add(p, curve.neutral(phi), phi)
+        s = curve.add(p, curve.neutral(phi))
         assert curve.projective_equal_series(s, p)
 
     def test_series_domain_matches_torus(self):
@@ -167,7 +168,7 @@ class TestAdd:
         phi = named_series("phi", 12)
         p = series_theta_vector(F(1, 3), 12)
         q = series_theta_vector(F(1, 4), 12)
-        s = curve.add(p, q, phi)
+        s = curve.add(p, q)
         expected = series_theta_vector(F(7, 12), 12)
         assert curve.projective_equal_series(s, expected)
 
@@ -177,7 +178,7 @@ class TestDouble:
         phi = named_series("phi", 36)
         o = curve.neutral(phi)
         for p in curve.two_torsion_points(phi):
-            d = curve.double(p, phi)
+            d = curve.double(p)
             assert curve.projective_equal_series(d, o)
 
     def test_double_neutral(self):
@@ -240,6 +241,23 @@ class TestCubicRoots:
             for j in range(i + 1, 3):
                 prod *= (roots[i] - roots[j]) ** 2
         assert abs(prod - curve.curve_discriminant_value(phi)) < 1e-12
+
+    def test_numeric_roots_are_accurate(self):
+        # a seeded tau grid in the check box, plus parameters with |phi| >= 1
+        rng = random.Random(2718)
+        phis = [phi_numeric(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0)))
+                for _ in range(40)]
+        phis += [1.0, 1.5, -3.0, 2 + 1j, 1.2j, 10.0, -0.7 + 0.9j]
+        for phi in phis:
+            t = complex(phi) ** 5
+            a, b, c = roots = curve.cubic_roots(phi)
+            for x in roots:
+                res = abs(x ** 3 - x ** 2 + t * x + t)
+                assert res < 1e-12 * max(abs(x) ** 3, abs(x) ** 2, abs(t * x), abs(t)), phi
+            assert abs(a + b + c - 1) < 1e-12 * max(1.0, abs(a) + abs(b) + abs(c)), phi
+            assert abs(a * b + b * c + c * a - t) < 1e-12 * (abs(a * b) + abs(b * c) + abs(c * a)), phi
+            assert abs(a * b * c + t) < 1e-12 * abs(a * b * c), phi
+            assert list(roots) == sorted(roots, key=lambda v: (v.real, v.imag))
 
     def test_series_domain_returns_g(self):
         phi = named_series("phi", 15)
@@ -335,12 +353,12 @@ class TestWeierstrass:
         assert 864 * curve.WEIERSTRASS_B - curve.P30 == 0
 
     def test_discriminant_identity(self):
-        assert curve.discriminant_check()
+        assert run_identity("weierstrass-discriminant").status == "pass"
 
     def test_sign_variant_discriminant_factor_fails(self):
         # the inner polynomial must be 1 - 11 phi^5 - phi^10; the sign
         # variant phi^10 - 11 phi^5 + 1 does not expand to the same thing
-        assert not curve.discriminant_check_variant()
+        assert run_identity("weierstrass-discriminant", mutate=True).status == "fail"
 
     def test_discriminant_sensitive_to_perturbation(self):
         from bianchiq.exact import QPoly

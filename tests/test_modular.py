@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from bianchiq import modular
 from bianchiq.modular import (
+    NAMES,
     UnknownName,
     delta_series,
     eta_quotient_series,
@@ -156,6 +158,27 @@ def test_memoization_consistency():
     assert high.truncate(low.order).agrees_with(low)
     again = named_series("g1", 10)
     assert again == low
+
+
+FRACTIONAL_ORDERS = (F(1, 2), F(3, 2), F(7, 3), F(21, 5), F(11, 4), F(31, 2), F(41, 10))
+
+
+def test_fractional_orders_do_not_depend_on_cache_state(monkeypatch):
+    # cold: each name built from an empty cache at the fractional order;
+    # warm: the same order served from a cache built at order 42
+    warm_cache = {}
+    monkeypatch.setattr(modular, "_cache", warm_cache)
+    for name in NAMES:
+        named_series(name, 42)
+    for name in NAMES:
+        for order in FRACTIONAL_ORDERS:
+            monkeypatch.setattr(modular, "_cache", {})
+            cold = named_series(name, order)
+            monkeypatch.setattr(modular, "_cache", warm_cache)
+            warm = named_series(name, order)
+            key = (name, order)
+            assert (cold.ram, cold.lo, cold.trunc, cold.coeffs) == (warm.ram, warm.lo, warm.trunc, warm.coeffs), key
+            assert cold.order == order, key
 
 
 def test_ramification_divides_120():
