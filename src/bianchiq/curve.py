@@ -65,12 +65,25 @@ def _vanishes(values, size=None) -> bool:
     Series are zero when every stored coefficient vanishes through the
     known window.  Numbers are zero when every modulus is below ZERO_REL *
     size, where ``size`` is the magnitude the values are built from, or
-    below VALUE_ZERO_ABS when no size is given (a curve parameter).
+    below VALUE_ZERO_ABS when no size is given (a curve parameter), and
+    always when every value is exactly 0.
     """
     if isinstance(values[0], PuiseuxSeries):
         return all(v.is_zero() for v in values)
     bound = VALUE_ZERO_ABS if size is None else ZERO_REL * size
-    return max(abs(v) for v in values) < bound
+    # an all-zero vector vanishes even when its size, and so the bound, is 0
+    return max(abs(v) for v in values) < bound or not any(values)
+
+
+def _worse(worst: float, r: float) -> float:
+    """The larger of two residuals, where NaN counts as the worst of all.
+
+    ``max(worst, r)`` drops a NaN ``r`` (``max(0.0, nan)`` is 0.0), which
+    would let a check pass on a NaN.  Here a NaN ``r`` is returned and a
+    NaN ``worst`` is kept; for other values the result is ``max``'s, bits
+    included.
+    """
+    return r if r > worst or r != r else worst
 
 
 def _size(P) -> float:
@@ -93,7 +106,8 @@ def quadric_residuals(P, phi):
 
 
 def max_quadric_residual(P, phi) -> float:
-    """Largest residual relative to the largest monomial, numeric domain."""
+    """Largest residual relative to the largest monomial, numeric domain;
+    NaN when a coordinate is NaN."""
     inv = 1 / phi
     worst = 0.0
     for k in range(5):
@@ -101,7 +115,7 @@ def max_quadric_residual(P, phi) -> float:
         b = phi * P[(k + 2) % 5] * P[(k - 2) % 5]
         c = inv * P[(k + 1) % 5] * P[(k - 1) % 5]
         scale = max(abs(a), abs(b), abs(c), 1e-300)
-        worst = max(worst, abs(a + b - c) / scale)
+        worst = _worse(worst, abs(a + b - c) / scale)
     return worst
 
 
@@ -198,11 +212,12 @@ def multiply(P, n: int):
 # -- projective comparison --------------------------------------------------
 
 def projective_distance(P, Q) -> float:
-    """1 - |<P,Q>|^2 / (|P|^2 |Q|^2): scale-invariant, 0 iff proportional."""
+    """1 - |<P,Q>|^2 / (|P|^2 |Q|^2): scale-invariant, 0 iff proportional,
+    NaN when a coordinate is NaN."""
     ip = sum(p * q.conjugate() for p, q in zip(P, Q))
     n1 = sum(abs(p) ** 2 for p in P)
     n2 = sum(abs(q) ** 2 for q in Q)
-    return max(0.0, 1.0 - abs(ip) ** 2 / (n1 * n2))
+    return _worse(0.0, 1.0 - abs(ip) ** 2 / (n1 * n2))
 
 
 def projective_equal_series(P, Q) -> bool:

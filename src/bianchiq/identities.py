@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import curve, modular, theta
+from .curve import _worse
 from .exact import PuiseuxSeries, QPoly
 
 _ORDER_SLACK = 8
@@ -448,7 +449,7 @@ def _chain_eq(number: int, cfg: VerifyConfig, rng) -> float:
         # 8; each keeps its own, since the order of the factors moves floats
         args = {"plain": (w, x, y, z), "primed": _primed(w, x, y, z), "sum": (s, x, y, z),
                 "pairs": (0, y + z, z + x, x + y), "pairs10": (0, x + y, y + z, z + x)}
-        worst = max(worst, _rel(_chain_side(tau, lhs_side, args), _chain_side(tau, rhs_side, args)))
+        worst = _worse(worst, _rel(_chain_side(tau, lhs_side, args), _chain_side(tau, rhs_side, args)))
     return worst
 
 
@@ -494,7 +495,7 @@ def _addition_eq(number: int, cfg: VerifyConfig, rng) -> float:
         t = lambda k, a: theta.theta_k(k, a, tau)
         lhs = t(3, 0) ** 2 * t(s, x + y) * t(d, x - y)
         rhs = t(p[0], x) * t(p[1], x) * t(p[2], y) ** 2 - t(m[0], x) ** 2 * t(m[1], y) * t(m[2], y)
-        worst = max(worst, _rel(lhs, rhs))
+        worst = _worse(worst, _rel(lhs, rhs))
     return worst
 
 
@@ -520,7 +521,7 @@ def _duplication_cubic(cfg: VerifyConfig, rng) -> float:
         x2 = theta.theta_vector(2 * z, tau)
         n3 = theta.theta_k(3, 0.0, tau)
         for k, rhs in enumerate(curve.double_cubic(x)):
-            worst = max(worst, _rel(n3 ** 3 * x2[k], rhs))
+            worst = _worse(worst, _rel(n3 ** 3 * x2[k], rhs))
     return worst
 
 
@@ -533,11 +534,8 @@ def _duplication_mixed(cfg: VerifyConfig, rng) -> float:
         x2 = theta.theta_vector(2 * z, tau)
         n = theta.nullwerte(tau)
         for k, rhs in enumerate(curve.double(x)):
-            worst = max(worst, _rel(n[3] ** 2 * n[1] * x2[k], rhs))
+            worst = _worse(worst, _rel(n[3] ** 2 * n[1] * x2[k], rhs))
     return worst
-
-
-_ALL_INDICES = tuple(Fraction(k) for k in range(5)) + tuple(Fraction(2 * k + 1, 2) for k in range(5))
 
 
 def _theta_transforms(cfg: VerifyConfig, rng) -> float:
@@ -546,14 +544,17 @@ def _theta_transforms(cfg: VerifyConfig, rng) -> float:
         tau = cfg.random_tau(rng)
         z = cfg.random_z(rng)
         rules = theta.shift_rules(tau)
+        # every right-hand side is theta_j(z) for a reduced index j: evaluate
+        # each once per sample
+        at_z = {k: theta.theta_k(k, z, tau) for k in theta.INDICES}
         for shift, mult, down in rules.values():
-            for k in _ALL_INDICES:
+            for k in theta.INDICES:
                 lhs = theta.theta_k(k, z + shift, tau)
-                rhs = mult(k, z) * theta.theta_k(k - down, z, tau)
-                worst = max(worst, _rel(lhs, rhs))
-        for k in _ALL_INDICES:
+                rhs = mult(k, z) * at_z[theta.reduce_index(k - down)]
+                worst = _worse(worst, _rel(lhs, rhs))
+        for k in theta.INDICES:
             sgn = -1.0 if k.denominator == 1 else 1.0
-            worst = max(worst, _rel(theta.theta_k(k, -z, tau), sgn * theta.theta_k(-k, z, tau)))
+            worst = _worse(worst, _rel(theta.theta_k(k, -z, tau), sgn * at_z[theta.reduce_index(-k)]))
     return worst
 
 
@@ -563,7 +564,8 @@ def _theta_nullwerte(cfg: VerifyConfig, rng) -> float:
         tau = cfg.random_tau(rng)
         n = theta.nullwerte(tau)
         scale = max(abs(v) for v in n)
-        worst = max(worst, abs(n[0]) / scale, abs(n[3] + n[2]) / scale, abs(n[4] + n[1]) / scale)
+        for r in (abs(n[0]) / scale, abs(n[3] + n[2]) / scale, abs(n[4] + n[1]) / scale):
+            worst = _worse(worst, r)
     return worst
 
 
@@ -573,7 +575,7 @@ def _bianchi_quadrics(cfg: VerifyConfig, rng) -> float:
         tau = cfg.random_tau(rng)
         z = cfg.random_z(rng)
         phi = theta.phi_numeric(tau)
-        worst = max(worst, curve.max_quadric_residual(theta.theta_vector(z, tau), phi))
+        worst = _worse(worst, curve.max_quadric_residual(theta.theta_vector(z, tau), phi))
     return worst
 
 
@@ -585,8 +587,8 @@ def _addition_map(cfg: VerifyConfig, rng) -> float:
         p = theta.theta_vector(zx, tau)
         q = theta.theta_vector(zy, tau)
         s = theta.theta_vector(zx + zy, tau)
-        worst = max(worst, curve.projective_distance(curve.add_a1(p, q), s))
-        worst = max(worst, curve.projective_distance(curve.add_a2(p, q), s))
+        worst = _worse(worst, curve.projective_distance(curve.add_a1(p, q), s))
+        worst = _worse(worst, curve.projective_distance(curve.add_a2(p, q), s))
     return worst
 
 
@@ -597,8 +599,8 @@ def _five_torsion(cfg: VerifyConfig, rng) -> float:
         phi = theta.phi_numeric(tau)
         o = curve.neutral(phi)
         for p in curve.five_torsion_points(phi):
-            worst = max(worst, curve.max_quadric_residual(p, phi))
-            worst = max(worst, curve.projective_distance(curve.multiply(p, 5), o))
+            worst = _worse(worst, curve.max_quadric_residual(p, phi))
+            worst = _worse(worst, curve.projective_distance(curve.multiply(p, 5), o))
     return worst
 
 
@@ -610,10 +612,10 @@ def _weierstrass_map_check(cfg: VerifyConfig, rng) -> float:
         z = cfg.random_z(rng)
         p = theta.theta_vector(z, tau)
         x, ya, yb = curve.weierstrass_map(p, phi)
-        worst = max(worst, _rel(ya, yb))
+        worst = _worse(worst, _rel(ya, yb))
         res = curve.weierstrass_residual(x, ya, phi)
         scale = max(abs(ya) ** 2, abs(x) ** 3, 1e-300)
-        worst = max(worst, abs(res) / scale)
+        worst = _worse(worst, abs(res) / scale)
     tau = 1.1j
     phi = theta.phi_numeric(tau)
     a = complex(curve.WEIERSTRASS_A(phi))
@@ -621,8 +623,8 @@ def _weierstrass_map_check(cfg: VerifyConfig, rng) -> float:
     for p in curve.two_torsion_points(phi):
         x, ya, yb = curve.weierstrass_map(p, phi)
         scale = max(abs(x) ** 3, abs(b), 1e-300)
-        worst = max(worst, abs(ya) / abs(x), abs(yb) / abs(x))
-        worst = max(worst, abs(x ** 3 + a * x + b) / scale)
+        for r in (abs(ya) / abs(x), abs(yb) / abs(x), abs(x ** 3 + a * x + b) / scale):
+            worst = _worse(worst, r)
     return worst
 
 
@@ -634,7 +636,7 @@ def _jacobi_a4(cfg: VerifyConfig, rng) -> float:
         p = _primed(*args)
         lhs = _four_product(tau, [5 * H] * 4, args) - _four_product(tau, [0] * 4, args)
         rhs = _four_product(tau, [5 * H] * 4, p) - _four_product(tau, [0] * 4, p)
-        worst = max(worst, _rel(lhs, rhs))
+        worst = _worse(worst, _rel(lhs, rhs))
     return worst
 
 

@@ -9,10 +9,17 @@ rescaled family
 
     theta_k(z, tau) = (1/i) * theta_char(1/2 - k/5, 5/2, 5*z, 5*tau)
 
-indexed by k mod 5 (integer and half-integer k both occur).  Summation uses
-a window centered on the largest term, sized so the first omitted term is
-below 1e-30 of the largest included one, and accumulates terms in
-descending magnitude.
+indexed by k mod 5 (integer and half-integer k both occur).  Only ten
+characteristics exist, one per reduced index 0..4 and 1/2..9/2, so
+``theta_k`` reads p = 1/2 - k/5 from a table built at import and calls
+``reduce_index`` only for an index outside [0, 5).
+
+Summation uses a window centered on the largest term, sized so the first
+omitted term is below 1e-30 of the largest included one, and accumulates
+terms in descending magnitude (ties in ascending n).  The window, that
+order and the operand order of each exponent are fixed: every value is
+reproducible to the bit, and the residuals the identity checks report
+depend on it.
 """
 
 from __future__ import annotations
@@ -56,9 +63,12 @@ def theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0
     ns = sorted(range(n_min, n_max + 1), key=lambda n: abs(n + p - center))
     total = 0.0 + 0.0j
     ipi = 1j * math.pi
+    two_ipi = 2 * ipi
+    zc = z + c
+    exp = cmath.exp
     for n in ns:
         m = n + p
-        total += cmath.exp(ipi * m * m * tau + 2 * ipi * m * (z + c))
+        total += exp(ipi * m * m * tau + two_ipi * m * zc)
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise OverflowError("theta summation overflowed binary64")
     return total
@@ -72,10 +82,18 @@ def reduce_index(k) -> Fraction:
     return k % 5
 
 
+# The ten reduced indices, and p = 1/2 - k/5 for each.  Equal numbers hash
+# equal, so an int, float or Fraction spelling of a reduced index finds its
+# entry.
+INDICES = tuple(Fraction(k) for k in range(5)) + tuple(Fraction(2 * k + 1, 2) for k in range(5))
+_CHARACTERISTIC = {k: float(Fraction(1, 2) - k / 5) for k in INDICES}
+
+
 def theta_k(k, z: complex, tau: complex) -> complex:
     """theta_k(z, tau) = (1/i) theta_char(1/2 - k/5, 5/2, 5z, 5tau); k mod 5."""
-    k = reduce_index(k)
-    p = float(Fraction(1, 2) - k / 5)
+    p = _CHARACTERISTIC.get(k)
+    if p is None:
+        p = _CHARACTERISTIC[reduce_index(k)]
     return theta_char(p, 2.5, 5 * complex(z), 5 * complex(tau)) / 1j
 
 

@@ -45,6 +45,26 @@ def series_theta_vector(v, order):
     return tuple(out)
 
 
+class TestNaN:
+    """A NaN coordinate gives a NaN residual, never one that reads as 0."""
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_max_quadric_residual(self, i):
+        phi = phi_numeric(1.1j)
+        p = list(theta_vector(0.13 + 0.07j, 1.1j))
+        p[i] = complex("nan")
+        assert math.isnan(curve.max_quadric_residual(p, phi))
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_projective_distance(self, i):
+        p = list(theta_vector(0.13 + 0.07j, 1.1j))
+        q = list(p)
+        q[i] = complex(float("nan"), 0.0)
+        assert math.isnan(curve.projective_distance(p, q))
+        assert math.isnan(curve.projective_distance(q, p))
+        assert curve.projective_distance(p, p) < 1e-15
+
+
 class TestQuadrics:
     def test_neutral_exact_series(self):
         phi = named_series("phi", 31)
@@ -156,6 +176,15 @@ class TestAdd:
         with pytest.raises(curve.BothFormulasDegenerate):
             curve.add(p, p)
 
+    def test_zero_vector_raises(self):
+        # the zero vector is no point: its size, and so the zero test's
+        # relative bound, is 0, and both formulas give exactly zero
+        zero = (0j,) * 5
+        p = theta_vector(0.13 + 0.07j, 1.1j)
+        for a, b in ((zero, p), (p, zero), (zero, zero)):
+            with pytest.raises(curve.BothFormulasDegenerate):
+                curve.add(a, b)
+
     def test_series_domain_neutral_law(self):
         # the same formulas over exact series: P + O is x0-scaled P exactly
         phi = named_series("phi", 12)
@@ -206,8 +235,9 @@ class TestDouble:
             assert curve.projective_distance(got, theta_vector(2 * z, tau)) < 1e-10
 
     def test_degenerate_raises(self):
-        with pytest.raises(curve.DegenerateResult):
-            curve.double((1 + 0j, 0j, 0j, 0j, 0j))
+        for p in ((1 + 0j, 0j, 0j, 0j, 0j), (0j,) * 5, (0.0, -0.0, 0.0, 0j, -0j)):
+            with pytest.raises(curve.DegenerateResult):
+                curve.double(p)
 
 
 def test_duplication_uniform_sign_resolved():

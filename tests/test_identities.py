@@ -1,10 +1,15 @@
 """The check registry: catalog shape, determinism, exactness separation,
 and mutation sensitivity of every exact check."""
 
+import importlib.util
 import json
+import math
+import pathlib
 
 import pytest
+from conftest import reference_theta_k, reference_theta_transforms
 
+from bianchiq import theta
 from bianchiq.identities import (
     UnknownName,
     VerifyConfig,
@@ -154,3 +159,65 @@ class TestReportSchema:
         assert get_check("weierstrass-map").kind == "numeric"
         with pytest.raises(UnknownName):
             get_check("bogus")
+
+
+NUMERIC = [c.name for c in registry() if c.kind == "numeric"]
+
+
+class TestBitIdentity:
+    """The numeric checks report, to the bit, what they report when every
+    theta value comes from the straightforward reference evaluator."""
+
+    @pytest.mark.parametrize("seed", [7, 403])
+    def test_worst_residuals_match_reference_theta(self, seed, monkeypatch):
+        cfg = VerifyConfig(samples=5, seed=seed)
+        fast = {n: run_identity(n, cfg).worst_residual for n in NUMERIC}
+        monkeypatch.setattr(theta, "theta_k", reference_theta_k)
+        ref = {n: run_identity(n, cfg).worst_residual for n in NUMERIC}
+        assert {n: r.hex() for n, r in fast.items()} == {n: r.hex() for n, r in ref.items()}
+
+    @pytest.mark.parametrize("seed", [7, 403])
+    def test_theta_transforms_sharing(self, seed):
+        # each sample reads its right-hand sides from one table of ten theta
+        # values; the reference evaluates all 140 values separately
+        cfg = VerifyConfig(samples=5, seed=seed)
+        got = run_identity("theta-transforms", cfg).worst_residual
+        assert got.hex() == reference_theta_transforms(cfg, cfg.rng_for("theta-transforms")).hex()
+
+
+class TestNaNResidual:
+    """A NaN residual fails its check, wherever in the run it appears."""
+
+    @pytest.mark.parametrize("name", ["chain-eq2", "addition-eq11", "theta-transforms"])
+    @pytest.mark.parametrize("nan_call", [0, 25])
+    def test_one_nan_theta_value_fails(self, name, nan_call, monkeypatch):
+        real = theta.theta_k
+        calls = [0]
+
+        def theta_k(k, z, tau):
+            calls[0] += 1
+            return complex("nan") if calls[0] == nan_call + 1 else real(k, z, tau)
+
+        monkeypatch.setattr(theta, "theta_k", theta_k)
+        r = run_identity(name, VerifyConfig(samples=3, seed=7))
+        assert calls[0] > nan_call + 1
+        assert r.status == "fail" and math.isnan(r.worst_residual)
+
+
+def test_registry_matches_the_benchmark_catalog():
+    """The benchmark pins the registry: its worker refuses a registry that
+    differs from ``perfbench/ops.py``'s lists, and every op then fails.  A
+    change to the names or kinds of the checks therefore needs its own
+    change to the benchmark."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "ops.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ops_pinned", path)
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    by_kind = {}
+    for c in registry():
+        by_kind.setdefault(c.kind, set()).add(c.name)
+    assert by_kind == {
+        "exact_series": set(ops.EXACT_SERIES_CHECKS),
+        "exact_poly": set(ops.EXACT_POLY_CHECKS),
+        "numeric": set(ops.NUMERIC_CHECKS),
+    }

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import reference_theta_char, reference_theta_k
 
 from bianchiq.theta import (
     ConvergenceError,
@@ -106,6 +107,56 @@ class TestThetaK:
                     lhs = theta_k(k, z + shift, tau)
                     rhs = mult(k, z) * theta_k(F(k) - down, z, tau)
                     assert rel(lhs, rhs) < 1e-10
+
+
+# Each of the ten reduced indices, spelled as the callers spell it and
+# shifted out of [0, 5) both ways.
+INDEX_SPELLINGS = [
+    spelling
+    for k in range(5)
+    for spelling in (k, F(k), float(k), k - 5, k + 5, F(k - 10))
+] + [
+    spelling
+    for k in (F(2 * j + 1, 2) for j in range(5))
+    for spelling in (k, float(k), k - 5, float(k + 5), F(k.numerator - 20, 2))
+]
+
+
+class TestBitIdentity:
+    """The table-driven theta_k and the hoisted theta_char reproduce the
+    straightforward evaluator bit for bit; repr tells signed zeros apart."""
+
+    @staticmethod
+    def points(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 3.0))
+            yield z, tau
+
+    def test_theta_k_matches_reference(self):
+        for z, tau in self.points(2027, 12):
+            for k in INDEX_SPELLINGS:
+                assert repr(theta_k(k, z, tau)) == repr(reference_theta_k(k, z, tau)), (k, z, tau)
+
+    def test_special_arguments(self):
+        for z in (0.0, -0.0, 0j, complex(-0.0, -0.0), 0.5, -0.5j, 1.7 - 0.9j):
+            for tau in (1j, 0.05j, 1.1j, 0.1 + 0.9j, -0.5 + 3j):
+                for k in (0, 1, 2, 3, 4, F(1, 2), F(9, 2)):
+                    assert repr(theta_k(k, z, tau)) == repr(reference_theta_k(k, z, tau))
+
+    def test_theta_char_matches_reference(self):
+        rng = random.Random(5)
+        for z, tau in self.points(31, 20):
+            p, c = rng.uniform(-1, 1), rng.uniform(-3, 3)
+            for extra in (0.0, 40.0):
+                got = theta_char(p, c, z, tau, extra=extra)
+                assert repr(got) == repr(reference_theta_char(p, c, z, tau, extra=extra))
+
+    @pytest.mark.parametrize("k", [0.3, F(1, 3), F(7, 3), -0.25])
+    def test_invalid_index_raises(self, k):
+        with pytest.raises(ValueError):
+            theta_k(k, 0.1j, 1j)
 
 
 class TestThetaVector:
