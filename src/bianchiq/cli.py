@@ -47,29 +47,34 @@ def parse_complex(text: str) -> complex:
     """Parse 'a+bi' literals: '1.1i', '0.3+1.4i', '-2', 'i', '0.5-i'.
 
     Locale-independent ('.' decimal separator); the imaginary term, when
-    present, is the final summand and ends in 'i'."""
+    present, is the final summand and ends in 'i'.  A non-finite value
+    (nan, inf, or one that overflows binary64) is rejected."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
     try:
         if not s.endswith("i"):
-            return complex(float(s), 0.0)
-        body = s[:-1]
-        split = None
-        for i in range(len(body) - 1, 0, -1):
-            if body[i] in "+-" and body[i - 1] not in "eE":
-                split = i
-                break
-        re_txt, im_txt = ("", body) if split is None else (body[:split], body[split:])
-        if im_txt in ("", "+"):
-            im_part = 1.0
-        elif im_txt == "-":
-            im_part = -1.0
+            z = complex(float(s), 0.0)
         else:
-            im_part = float(im_txt)
-        return complex(float(re_txt) if re_txt else 0.0, im_part)
+            body = s[:-1]
+            split = None
+            for i in range(len(body) - 1, 0, -1):
+                if body[i] in "+-" and body[i - 1] not in "eE":
+                    split = i
+                    break
+            re_txt, im_txt = ("", body) if split is None else (body[:split], body[split:])
+            if im_txt in ("", "+"):
+                im_part = 1.0
+            elif im_txt == "-":
+                im_part = -1.0
+            else:
+                im_part = float(im_txt)
+            z = complex(float(re_txt) if re_txt else 0.0, im_part)
     except ValueError as exc:
         raise ValueError(f"malformed complex literal {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex literal must be finite, got {text!r}")
+    return z
 
 
 def _parse_point(text: str):
@@ -139,7 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_expand(args) -> int:
-    order = Fraction(args.order) if args.order is not None else Fraction(_default_order())
+    try:
+        order = Fraction(args.order) if args.order is not None else Fraction(_default_order())
+    except ZeroDivisionError:
+        raise ValueError(f"order has a zero denominator: {args.order!r}") from None
     try:
         series = modular.named_series(args.name, order)
     except modular.UnknownName:

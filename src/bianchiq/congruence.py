@@ -14,7 +14,6 @@ points of sigma_S and sigma_ST, cusps are cycles of sigma_T, and
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,16 +48,14 @@ T_MAT: Mat = (1, 1, 0, 1)
 
 
 _sl2_cache: dict[int, tuple[Mat, ...]] = {}
-_lock = threading.Lock()
 
 
 def enumerate_group(n: int) -> tuple[Mat, ...]:
     """All matrices over Z/n with determinant 1, by direct filtering."""
     if not 1 <= n <= 30:
         raise ValueError("modulus out of the supported range 1..30")
-    with _lock:
-        if n in _sl2_cache:
-            return _sl2_cache[n]
+    if n in _sl2_cache:
+        return _sl2_cache[n]
     out = []
     for a in range(n):
         for b in range(n):
@@ -67,9 +64,7 @@ def enumerate_group(n: int) -> tuple[Mat, ...]:
                 for d in range(n):
                     if (a * d) % n == ad_needed:
                         out.append((a, b, c, d))
-    result = tuple(out)
-    with _lock:
-        _sl2_cache[n] = result
+    result = _sl2_cache[n] = tuple(out)
     return result
 
 
@@ -170,9 +165,8 @@ _builtin_cache: dict[str, SubgroupSpec] = {}
 def builtin_specs() -> dict[str, SubgroupSpec]:
     """The named groups: Gamma(N), Gamma1(N), Gamma0(N) for N in {1,2,5,10},
     the four level-10 groups G1..G4, and the two stated intersections."""
-    with _lock:
-        if _builtin_cache:
-            return dict(_builtin_cache)
+    if _builtin_cache:
+        return dict(_builtin_cache)
     specs = {}
     for n in (1, 2, 5, 10):
         specs[f"Gamma({n})"] = gamma(n)
@@ -184,8 +178,7 @@ def builtin_specs() -> dict[str, SubgroupSpec]:
     specs["G4"] = _g4_spec()
     specs["Gamma(2)&Gamma1(5)"] = specs["Gamma(2)"].intersect(specs["Gamma1(5)"])
     specs["Gamma0(2)&Gamma(5)"] = specs["Gamma0(2)"].intersect(specs["Gamma(5)"])
-    with _lock:
-        _builtin_cache.update(specs)
+    _builtin_cache.update(specs)
     return dict(specs)
 
 

@@ -14,36 +14,36 @@ so a coefficient inside the reported window is always exact, never an
 artifact of discarded tail terms.  Ramifications are merged by lcm on binary
 operations.  All values are immutable after construction.
 
-Coefficients are stored as Fractions, but products and inverses are computed
-on integers:
+A series stores integers only: numerators ``nums`` over one positive
+denominator ``den``, in lowest terms and with leading zeros trimmed, so each
+value has one form.  Fractions appear only at the boundary (the constructor,
+``coeffs``, ``coefficient``, ``terms``, JSON).  A change of grid spreads the
+numerators to every m-th slot; truncation and ``reduce_ram`` are slices.
 
-* Each operand window is written as integer numerators over one common
-  denominator (the lcm of its coefficient denominators).
-* Only every s-th slot is kept, where the stride s is the gcd of the
-  relative indices of the nonzero coefficients (5 for phi, 24 for eta), so
-  the integer work is on the compressed series in q^(s/ram).
+* Only every s-th slot of a product is computed, where the stride s is the
+  gcd of the relative indices of the nonzero numerators (5 for phi, 24 for
+  eta), so the integer work is on the compressed series in q^(s/ram).
 * Integer series are multiplied by Kronecker substitution (Harvey, J.
   Symbolic Comput. 44, 2009): each is packed into one Python int, slot k at
   bit k*w with signed values, where w bits hold the bound
   max|A| * max|B| * min(len A, len B), and max|A| and max|B| themselves (one
   operand may be all zeros), plus a sign bit.  One bigint multiply
   gives the product, which is read back slot by slot after a bias of
-  2^(w-1) per slot absorbs the borrows of negative slots.  The result is
-  scattered back at stride s and divided by the product of the denominators.
+  2^(w-1) per slot absorbs the borrows of negative slots.  Its denominator
+  is the product of the operands' denominators.
 * The inverse runs Newton's iteration w <- w - w*(u*w - 1) on that integer
   multiply, doubling the precision at each step (Brent and Kung, JACM 25,
   1978).  A leading numerator u0 other than 1 is handled on the same path:
   V(x) = U(u0*x)/u0 has integer coefficients and V0 = 1, so its inverse W is
   integral, and the inverse of u = U/D has coefficient W_k*D/u0^(k+1) at
-  relative index k.
+  relative index k, written over u0^(last+1) for the last index ``last``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-_ZERO = Fraction(0)
+from itertools import compress, count
 
 
 class ZeroLeadingCoefficient(ArithmeticError):
@@ -54,42 +54,60 @@ class OrderExceeded(ValueError):
     """A coefficient outside the provably known window was requested."""
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"exact coefficient expected int or Fraction, got {type(x).__name__}")
+
+
+def _rat(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
+
+
+def _numerators(coeffs) -> tuple[list, int]:
+    """(integer numerators, their lcm denominator) of ints and Fractions."""
+    pairs = [_ratio(c) for c in coeffs]
+    d = math.lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
+
+
+def _stride(nums, s: int = 0) -> int:
+    """gcd of s and the indices of the nonzero entries."""
+    return math.gcd(s, *compress(range(len(nums)), nums))
 
 
 class PuiseuxSeries:
     """Truncated series sum c_n q^(n/ram), n = lo .. trunc-1, over Q.
 
-    Instances are immutable; ``coeffs`` is a tuple of Fractions of length
+    Instances are immutable and stored as integer numerators ``nums`` (one
+    per slot) over the positive denominator ``den``, in lowest terms.
+    ``coeffs`` is the same window as a tuple of Fractions of length
     trunc - lo.  Leading stored zeros are trimmed on construction (raising
     ``lo``), which is information-preserving and tightens product bounds.
     The zero-through-window series is represented with lo == trunc.
     """
 
-    __slots__ = ("ram", "lo", "trunc", "coeffs")
+    __slots__ = ("ram", "lo", "trunc", "den", "nums")
 
     def __init__(self, ram: int, lo: int, trunc: int, coeffs):
         if ram < 1:
             raise ValueError("ramification must be >= 1")
-        coeffs = [_rat(c) for c in coeffs]
-        if len(coeffs) != trunc - lo:
+        nums, den = _numerators(coeffs)
+        if len(nums) != trunc - lo:
             raise ValueError("coefficient window does not match trunc - lo")
-        k = 0
-        while k < len(coeffs) and coeffs[k] == 0:
-            k += 1
-        lo += k
-        coeffs = coeffs[k:]
-        if not coeffs:
-            lo = trunc
-        object.__setattr__(self, "ram", ram)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self._set(ram, lo, trunc, nums, den)
+
+    def _set(self, ram, lo, trunc, nums, den):
+        k = next(compress(count(), nums), None)
+        if k is None:
+            lo, nums, den = trunc, (), 1
+        else:
+            g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+            nums = tuple(x // g for x in nums[k:]) if g != 1 else tuple(nums[k:])
+            lo, den = lo + k, den // g
+        for name, value in (("ram", ram), ("lo", lo), ("trunc", trunc), ("den", den), ("nums", nums)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -98,8 +116,8 @@ class PuiseuxSeries:
 
     @classmethod
     def zero(cls, order, ram: int = 1) -> "PuiseuxSeries":
-        t = _floor_index(order, ram)
-        return cls(ram, t, t, ())
+        p, q = _ratio(order)
+        return _of(ram, p * ram // q, p * ram // q, (), 1)
 
     @classmethod
     def monomial(cls, exponent, order, coeff=1) -> "PuiseuxSeries":
@@ -111,9 +129,8 @@ class PuiseuxSeries:
         t = int(o * ram)
         if t <= lo:
             return cls.zero(o, ram)
-        c = [Fraction(0)] * (t - lo)
-        c[0] = _rat(coeff)
-        return cls(ram, lo, t, c)
+        num, den = _ratio(coeff)
+        return _of(ram, lo, t, [num] + [0] * (t - lo - 1), den)
 
     @classmethod
     def one(cls, order) -> "PuiseuxSeries":
@@ -139,8 +156,13 @@ class PuiseuxSeries:
 
     # -- basic queries ------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The window as Fractions, one per slot lo .. trunc-1."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def order(self) -> Fraction:
@@ -162,24 +184,25 @@ class PuiseuxSeries:
         i = int(n) - self.lo
         if i < 0:
             return Fraction(0)
-        return self.coeffs[i]
+        return Fraction(self.nums[i], self.den)
 
     def terms(self):
         """Yield (exponent, coefficient) for the nonzero stored terms."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield Fraction(self.lo + i, self.ram), c
+        for i, x in enumerate(self.nums):
+            if x:
+                yield Fraction(self.lo + i, self.ram), Fraction(x, self.den)
 
     # -- normalization ------------------------------------------------------
 
+    def _spread(self, ram: int, m: int) -> "PuiseuxSeries":
+        """The numerators at every m-th slot of a grid of ramification ram."""
+        c = [0] * ((self.trunc - self.lo) * m)
+        c[::m] = self.nums
+        return _of(ram, self.lo * m, self.trunc * m, c, self.den)
+
     def _rescaled(self, m: int) -> "PuiseuxSeries":
         """Same series on the finer grid ram*m."""
-        if m == 1:
-            return self
-        c = [Fraction(0)] * ((self.trunc - self.lo) * m)
-        for i, v in enumerate(self.coeffs):
-            c[i * m] = v
-        return PuiseuxSeries(self.ram * m, self.lo * m, self.trunc * m, c)
+        return self if m == 1 else self._spread(self.ram * m, m)
 
     def reduce_ram(self) -> "PuiseuxSeries":
         """Smallest ramification carrying the same nonzero exponents.
@@ -188,33 +211,26 @@ class PuiseuxSeries:
         weakens the claimed window, never widens it.
         """
         if self.is_zero():
-            return PuiseuxSeries(1, self.trunc // self.ram, self.trunc // self.ram, ())
-        d = self.ram
-        for i, v in enumerate(self.coeffs):
-            if v:
-                d = math.gcd(d, self.lo + i)
-            if d == 1:
-                return self
-        return PuiseuxSeries(
-            self.ram // d,
-            self.lo // d,
-            self.trunc // d,
-            [self.coeffs[j * d] for j in range(self.trunc // d - self.lo // d)],
-        )
+            return _of(1, self.trunc // self.ram, self.trunc // self.ram, (), 1)
+        d = _stride(self.nums, math.gcd(self.ram, self.lo))
+        if d == 1:
+            return self
+        n = self.trunc // d - self.lo // d
+        return _of(self.ram // d, self.lo // d, self.trunc // d, self.nums[: n * d : d], self.den)
 
     def truncate(self, order) -> "PuiseuxSeries":
         """Forget all coefficients at exponents >= order.
 
         An order off the grid refines the grid to lcm(ram, order's
         denominator), so an order below self.order is kept exactly."""
-        o = _rat(order)
-        if o >= self.order:
+        p, q = _ratio(order)
+        if p * self.ram >= self.trunc * q:
             return self
-        s = self._rescaled(math.lcm(self.ram, o.denominator) // self.ram)
-        t = int(o * s.ram)
+        s = self._rescaled(math.lcm(self.ram, q) // self.ram)
+        t = p * (s.ram // q)
         if t <= s.lo:
-            return PuiseuxSeries(s.ram, t, t, ())
-        return PuiseuxSeries(s.ram, s.lo, t, s.coeffs[: t - s.lo])
+            return _of(s.ram, t, t, (), 1)
+        return _of(s.ram, s.lo, t, s.nums[: t - s.lo], s.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -224,58 +240,52 @@ class PuiseuxSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = PuiseuxSeries.monomial(0, self.order, other)
+            t = self.trunc
+            nums = [other.numerator] + [0] * (t - 1) if t > 0 else ()
+            other = _of(self.ram, min(0, t), t, nums, other.denominator)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._aligned(other)
         t = min(a.trunc, b.trunc)
         lo = min(a.lo, b.lo, t)
-        c = [Fraction(0)] * (t - lo)
-        for i, v in enumerate(a.coeffs):
-            j = a.lo + i - lo
-            if 0 <= j < len(c):
-                c[j] += v
-        for i, v in enumerate(b.coeffs):
-            j = b.lo + i - lo
-            if 0 <= j < len(c):
-                c[j] += v
-        return PuiseuxSeries(a.ram, lo, t, c)
+        d = math.lcm(a.den, b.den)
+        c = [0] * (t - lo)
+        for s in (a, b):
+            # an operand starting at or past t has no slot in the window
+            head = s.nums[: max(t - s.lo, 0)]
+            m = d // s.den
+            i, j = s.lo - lo, s.lo - lo + len(head)
+            c[i:j] = [x + m * y for x, y in zip(c[i:j], head)]
+        return _of(a.ram, lo, t, c, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.ram, self.lo, self.trunc, [-v for v in self.coeffs])
+        return _of(self.ram, self.lo, self.trunc, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, PuiseuxSeries) else -_rat(other))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            s = _rat(other)
-            if s == 0:
-                return PuiseuxSeries(self.ram, self.trunc, self.trunc, ())
-            return PuiseuxSeries(self.ram, self.lo, self.trunc, [v * s for v in self.coeffs])
+            p = other.numerator
+            return _of(self.ram, self.lo, self.trunc, [x * p for x in self.nums], self.den * other.denominator)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._aligned(other)
         t = min(a.trunc + b.lo, b.trunc + a.lo)
         if a.is_zero() or b.is_zero():
-            return PuiseuxSeries(a.ram, t, t, ())
+            return _of(a.ram, t, t, (), 1)
         lo = a.lo + b.lo
         n = t - lo
-        na, da, sa = _integer_window(a.coeffs[:n])
-        nb, db, sb = _integer_window(b.coeffs[:n])
-        s = math.gcd(sa, sb) or n
-        prod = _int_mul(na[::s], nb[::s], -(-n // s))
-        d = da * db
-        c = [_ZERO] * n
-        for k, v in enumerate(prod):
-            if v:
-                c[k * s] = Fraction(v, d)
-        return PuiseuxSeries(a.ram, lo, t, c)
+        na, nb = a.nums[:n], b.nums[:n]
+        s = _stride(nb, _stride(na)) or n
+        c = [0] * n
+        c[::s] = _int_mul(na[::s], nb[::s], -(-n // s))
+        return _of(a.ram, lo, t, c, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -288,8 +298,8 @@ class PuiseuxSeries:
         if self.is_zero():
             raise ZeroLeadingCoefficient("series is zero through its known window")
         n = self.trunc - self.lo
-        u, d, s = _integer_window(self.coeffs)
-        s = s or n
+        u = self.nums
+        s = _stride(u) or n
         u0 = u[0]
         # V(x) = U(u0 x) / u0 on the compressed slots: integral, V0 = 1
         v = [x * u0 ** (k * s - 1) if k else 1 for k, x in enumerate(u[::s])]
@@ -300,11 +310,15 @@ class PuiseuxSeries:
             top = min(2 * prec, m)
             err = _int_mul(v[:top], w, top)[prec:]
             w += [-x for x in _int_mul(w, err, top - prec)]
-        c = [_ZERO] * n
-        for k, x in enumerate(w):
-            if x:
-                c[k * s] = Fraction(x * d, u0 ** (k * s + 1))
-        return PuiseuxSeries(self.ram, -self.lo, self.trunc - 2 * self.lo, c)
+        # W_k * D / u0^(ks+1) over the common denominator u0^(last+1)
+        last = (m - 1) * s
+        step, scale = u0 ** s, self.den
+        for k in range(m - 1, -1, -1):
+            w[k] *= scale
+            scale *= step
+        c = [0] * n
+        c[::s] = w
+        return _of(self.ram, -self.lo, self.trunc - 2 * self.lo, c, u0 ** (last + 1))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -334,17 +348,11 @@ class PuiseuxSeries:
     def subst_q_power(self, r) -> "PuiseuxSeries":
         """Substitute q -> q^r (r a positive rational): every exponent e
         becomes r*e, on the minimal grid containing the scaled exponents."""
-        r = _rat(r)
-        if r <= 0:
+        p, s = _ratio(r)
+        if p <= 0:
             raise ValueError("exponent scale must be positive")
-        p, s = r.numerator, r.denominator
         d = math.gcd(p, self.ram * s)
-        ram2 = self.ram * s // d
-        step = p // d
-        c = [Fraction(0)] * ((self.trunc - self.lo) * step)
-        for i, v in enumerate(self.coeffs):
-            c[i * step] = v
-        return PuiseuxSeries(ram2, self.lo * step, self.trunc * step, c)
+        return self._spread(self.ram * s // d, p // d)
 
     # -- comparisons --------------------------------------------------------
 
@@ -357,11 +365,11 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._aligned(other)
-        return (a.lo, a.trunc, a.coeffs) == (b.lo, b.trunc, b.coeffs)
+        return (a.lo, a.trunc, a.den, a.nums) == (b.lo, b.trunc, b.den, b.nums)
 
     def __hash__(self):
         r = self.reduce_ram()
-        return hash((r.ram, r.lo, r.trunc, r.coeffs))
+        return hash((r.ram, r.lo, r.trunc, r.den, r.nums))
 
     def __repr__(self):
         parts = []
@@ -390,22 +398,12 @@ class PuiseuxSeries:
         return cls(int(obj["ram"]), int(obj["lo"]), int(obj["trunc"]), coeffs)
 
 
-def _integer_window(coeffs):
-    """(numerators, common denominator, stride) of a coefficient window.
-
-    The numerators are integers over the lcm of the denominators; the
-    stride is the gcd of the indices of the nonzero entries, 0 when only
-    index 0 is nonzero.
-    """
-    d = math.lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (d // c.denominator) for c in coeffs]
-    s = 0
-    for i, x in enumerate(nums):
-        if x:
-            s = math.gcd(s, i)
-            if s == 1:
-                break
-    return nums, d, s
+def _of(ram: int, lo: int, trunc: int, nums, den: int) -> PuiseuxSeries:
+    """The series sum nums[i]/den q^((lo+i)/ram), i < trunc - lo, in
+    canonical form: leading zeros trimmed, den > 0, gcd(den, *nums) == 1."""
+    s = object.__new__(PuiseuxSeries)
+    s._set(ram, lo, trunc, nums, den)
+    return s
 
 
 def _pack(xs, width: int) -> int:
@@ -432,11 +430,6 @@ def _int_mul(a, b, m: int) -> list:
     packed = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * m)) - 1)
     raw = packed.to_bytes(width * m, "little")
     return [int.from_bytes(raw[k * width:(k + 1) * width], "little") - half for k in range(m)]
-
-
-def _floor_index(order, ram: int) -> int:
-    n = _rat(order) * ram
-    return n.numerator // n.denominator
 
 
 def pochhammer_product(factors, prefactor_exp, order) -> PuiseuxSeries:
@@ -473,10 +466,11 @@ def pochhammer_product(factors, prefactor_exp, order) -> PuiseuxSeries:
                     for i in range(n, m_int + 1):
                         body[i] += body[i - n]
             n += m
-    series = PuiseuxSeries(1, 0, m_int + 1, body)
-    if pre:
-        series = series * PuiseuxSeries.monomial(pre, pre + m_int + 1)
-    return series.truncate(o)
+    # q^pre times the body, on the grid of pre's denominator
+    r = pre.denominator
+    c = [0] * ((m_int + 1) * r)
+    c[::r] = body
+    return _of(r, pre.numerator, pre.numerator + (m_int + 1) * r, c, 1).truncate(o)
 
 
 class QPoly:
@@ -545,14 +539,10 @@ class QPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return QPoly()
-        c = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, va in enumerate(self.coeffs):
-            if not va:
-                continue
-            for j, vb in enumerate(other.coeffs):
-                if vb:
-                    c[i + j] += va * vb
-        return QPoly(c)
+        na, da = _numerators(self.coeffs)
+        nb, db = _numerators(other.coeffs)
+        d = da * db
+        return QPoly([Fraction(x, d) for x in _int_mul(na, nb, len(na) + len(nb) - 1)])
 
     __rmul__ = __mul__
 

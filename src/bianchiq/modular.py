@@ -14,7 +14,6 @@ is built once per order rise, not once per dependent.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .exact import PuiseuxSeries, pochhammer_product
@@ -137,7 +136,6 @@ def _build(name: str, order: Fraction) -> PuiseuxSeries:
 
 
 _cache: dict[str, PuiseuxSeries] = {}
-_cache_lock = threading.Lock()
 
 
 def named_series(name: str, order=30) -> PuiseuxSeries:
@@ -149,13 +147,7 @@ def named_series(name: str, order=30) -> PuiseuxSeries:
     if name not in NAMES:
         raise UnknownName(name)
     order = Fraction(order)
-    with _cache_lock:
-        hit = _cache.get(name)
-        if hit is not None and hit.order >= order:
-            return hit.truncate(order)
-    built = _build(name, order)
-    with _cache_lock:
-        hit = _cache.get(name)
-        if hit is None or hit.order < built.order:
-            _cache[name] = built
-    return built.truncate(order)
+    hit = _cache.get(name)
+    if hit is None or hit.order < order:
+        hit = _cache[name] = _build(name, order)
+    return hit.truncate(order)

@@ -96,6 +96,15 @@ def dict_mul(a: dict, b: dict, cap: Fraction) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def dict_add(a: dict, b: dict, cap: Fraction) -> dict:
+    out = {}
+    for d in (a, b):
+        for e, c in d.items():
+            if e < cap:
+                out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def dict_product_factor(series: dict, n: int, exponent: int, cap: Fraction) -> dict:
     """Multiply by (1 - q^n)^exponent, exponent any integer, truncating at cap."""
     out = dict(series)

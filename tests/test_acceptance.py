@@ -5,7 +5,10 @@ lines.  Criteria 3 and 7 verify the forms that hold exactly and also
 assert that the near-miss variants fail; see the notes in bianchiq.curve.
 """
 
+import hashlib
+import importlib.util
 import json
+import pathlib
 import random
 import resource
 import time
@@ -14,9 +17,15 @@ from fractions import Fraction as F
 from bianchiq import curve, modular, theta
 from bianchiq.cli import main as cli_main
 from bianchiq.congruence import enumerate_group, genus_data, get_spec, image_of, subgroup_report
-from bianchiq.identities import VerifyConfig, registry, run_all, run_identity
+from bianchiq.identities import SeriesEnv, VerifyConfig, registry, run_all, run_identity
 
 SEED = 7
+
+# sha256 of `verify --all --seed 7` stdout (recorded with CPython 3.11 on
+# x86-64 Linux; the numeric residuals are binary64 results)
+VERIFY_SEED7_SHA256 = "cc088c0f6fa8f294712fbe898b6ce0d32e88661269a751bcca0c97894dbc91d5"
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _report(n, text):
@@ -213,9 +222,35 @@ def test_criterion_10_end_to_end(capsys):
     out2 = capsys.readouterr().out
     assert rc2 == 0
     assert out1 == out2, "rerun is not byte-identical"
+    assert hashlib.sha256(out1.encode()).hexdigest() == VERIFY_SEED7_SHA256
     report = json.loads(out1)
     assert report["failed"] == 0 and report["passed"] == len(registry())
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert peak_kb < 1024 * 1024, f"peak memory {peak_kb} kB"
     _report(10, f"verify --all --seed 7: exit 0, {report['passed']} checks, "
                f"{elapsed:.1f}s, byte-identical rerun, peak {peak_kb // 1024} MB")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_criterion_11_exact_outputs_match_the_recorded_digests(capsys):
+    """The benchmark's known answers for the exact outputs, read from
+    perfbench/ (which this test does not change): the digest of each named
+    series an exact-deep pass builds, and of `expand` stdout for the heavy
+    name and for each light name at both ends of its order range."""
+    spec = importlib.util.spec_from_file_location("perfbench_ops_digests", PERFBENCH / "ops.py")
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    order = SeriesEnv(VerifyConfig(series_order=ops.EXACT_ORDER)).order
+    for name in ops.BUILD_NAMES:
+        got = _digest(json.dumps(modular.named_series(name, order).to_json(), sort_keys=True))
+        assert got == expected["build"][name], name
+    draws = [ops.EXPAND_HEAVY] + [(n, o) for n in ops.EXPAND_LIGHT for o in ops.EXPAND_ORDERS]
+    for name, o in draws:
+        assert cli_main(["expand", name, "--order", str(o)]) == 0
+        assert _digest(capsys.readouterr().out) == expected["expand"][f"{name}@{o}"], (name, o)
+    _report(11, f"{len(ops.BUILD_NAMES)} build digests at order {order} and "
+               f"{len(draws)} expand digests match perfbench/expected.json")

@@ -34,6 +34,11 @@ class TestParseComplex:
         with pytest.raises(ValueError):
             parse_complex("zz")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "infi", "nani", "1+nani", "nan+1i", "1e400", "1e400i"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_complex(text)
+
 
 class TestExpand:
     def test_g1_text(self, capsys):
@@ -63,6 +68,12 @@ class TestExpand:
         s = PuiseuxSeries.from_json(obj)
         assert s.coefficient(0) == 0  # below valuation
         assert s.valuation() == Fraction(1, 5)
+
+    def test_zero_denominator_order_is_usage_error(self, capsys):
+        rc, out, err = run_cli(capsys, "expand", "g1", "--order", "1/0")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "'1/0'" in err
 
     def test_unknown_series(self, capsys):
         rc, _, err = run_cli(capsys, "expand", "zeta")
@@ -219,6 +230,18 @@ class TestPoint:
     def test_lower_half_plane_exits_2(self, capsys):
         rc, _, _ = run_cli(capsys, "point", "two-torsion", "--tau", "-1.1i")
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("two-torsion", "--phi", "nan"),
+        ("five-torsion", "--phi", "inf"),
+        ("two-torsion", "--tau", "infi"),
+        ("five-torsion", "--tau", "0.1+nani"),
+    ])
+    def test_non_finite_tau_or_phi_exits_2(self, capsys, argv):
+        rc, out, err = run_cli(capsys, "point", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
 
 
 class TestGroup:

@@ -14,10 +14,11 @@ from bianchiq.exact import (
     PuiseuxSeries,
     QPoly,
     ZeroLeadingCoefficient,
+    _of,
     pochhammer_product,
 )
 
-from conftest import brute_force_product, dict_mul
+from conftest import brute_force_product, dict_add, dict_mul
 
 
 def mono(e, order, c=1):
@@ -242,6 +243,23 @@ class TestQPoly:
         assert fast.coeffs[55] == 1
         assert fast.coeffs[5] == 1
 
+    def test_mul_matches_schoolbook(self):
+        rng = random.Random(11)
+
+        def poly():
+            return [F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)) if rng.random() < 0.7 else F(0)
+                    for _ in range(rng.randint(1, 30))]
+
+        for _ in range(50):
+            a, b = poly(), poly()
+            ref = [F(0)] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    ref[i + j] += x * y
+            got = (QPoly(a) * QPoly(b)).coeffs
+            assert got == QPoly(ref).coeffs
+            assert all(type(c) is F for c in got)
+
     def test_eval_fraction_and_complex(self):
         p = QPoly([1, 0, -2])
         assert p(F(1, 2)) == F(1, 2)
@@ -311,6 +329,8 @@ def test_kernel_matches_oracles(seed):
         expected = (ram, lo, trunc, tuple(oracle.get(F(k, ram), F(0)) for k in range(lo, trunc)))
         assert window(a * b) == expected
         assert window(a.inverse()) == schoolbook_inverse(a)
+        assert_canonical(a * b)
+        assert_canonical(a.inverse())
 
 
 def polynomial_and_inverse(rng, lead):
@@ -361,6 +381,126 @@ def test_results_are_fractions():
     for s in results:
         assert s.coeffs
         assert all(type(c) is F for c in s.coeffs)
+
+
+# -- differential test of the linear operations and changes of grid ---------
+#
+# Each result is compared with the dict oracle of conftest on the window that
+# the truncation rules give, and checked to be in canonical form.
+
+def assert_canonical(s):
+    """Integer numerators over a positive denominator, in lowest terms,
+    leading zeros trimmed (the zero series has lo == trunc)."""
+    assert type(s.nums) is tuple and all(type(x) is int for x in s.nums)
+    assert type(s.den) is int and s.den > 0
+    assert math.gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == s.trunc - s.lo
+    assert s.nums[0] != 0 if s.nums else s.lo == s.trunc
+
+
+def expected_window(ram, cap, terms):
+    """(ram, lo, trunc, coeffs) of the {exponent: coefficient} terms below
+    cap on the grid ram, with the leading zeros trimmed."""
+    trunc = cap * ram
+    assert trunc.denominator == 1
+    trunc = int(trunc)
+    exps = sorted(e for e, c in terms.items() if c and e < cap)
+    lo = int(exps[0] * ram) if exps else trunc
+    return (ram, lo, trunc, tuple(terms.get(F(k, ram), F(0)) for k in range(lo, trunc)))
+
+
+def random_window(rng, after=None):
+    """A series on a ram in {1, 2, 5, 10} with lo in [-12, 6] (or starting
+    at or past the exponent ``after``), up to 40 slots, some zero, and
+    coefficient denominators up to 10^6; empty or all-zero windows give
+    the zero series."""
+    ram = rng.choice((1, 2, 5, 10))
+    lo = rng.randint(-12, 6)
+    if after is not None:
+        lo = math.ceil(after * ram) + rng.randint(0, 3)
+    n = rng.choice((0, 1, 2, rng.randint(3, 40)))
+    zero = rng.random() < 0.1
+    coeffs = [F(0) if zero or rng.random() < 0.3 else
+              F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(n)]
+    return PuiseuxSeries(ram, lo, lo + n, coeffs)
+
+
+def random_scalar(rng):
+    return rng.choice((F(rng.randint(-9, 9)), F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_linear_operations_match_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        a = random_window(rng)
+        b = random_window(rng, after=a.order if rng.random() < 0.3 else None)
+        if rng.random() < 0.5:
+            a, b = b, a
+        ram = math.lcm(a.ram, b.ram)
+        cap = min(a.order, b.order)
+        da, db = as_dict(a), as_dict(b)
+        neg_b = {e: -c for e, c in db.items()}
+        c = random_scalar(rng)
+        cases = [
+            (a + b, expected_window(ram, cap, dict_add(da, db, cap))),
+            (a - b, expected_window(ram, cap, dict_add(da, neg_b, cap))),
+            (-a, expected_window(a.ram, a.order, {e: -v for e, v in da.items()})),
+            (a * c, expected_window(a.ram, a.order, {e: v * c for e, v in da.items()})),
+            (c * a, expected_window(a.ram, a.order, {e: v * c for e, v in da.items()})),
+            (a + c, expected_window(a.ram, a.order, dict_add(da, {F(0): c}, a.order))),
+        ]
+        if c:
+            cases.append((a / c, expected_window(a.ram, a.order, {e: v / c for e, v in da.items()})))
+        # truncation at an order below, on or off the grid, and above
+        o = a.order - F(rng.randint(0, 3 * a.ram), rng.choice((1, 3, a.ram, 7)))
+        if o < a.order:
+            cases.append((a.truncate(o), expected_window(math.lcm(a.ram, o.denominator), o, da)))
+        cases.append((a.truncate(a.order + 1), window(a)))
+        # the coarsest grid carrying the nonzero exponents
+        r = math.lcm(*(e.denominator for e in da))
+        floor = F(math.floor(a.order * r), r)
+        cases.append((a.reduce_ram(), expected_window(r, floor, da)))
+        # q -> q^k maps the grid unit 1/ram to k/ram
+        k = F(rng.randint(1, 6), rng.randint(1, 6))
+        cases.append((a.subst_q_power(k), expected_window(F(k, a.ram).denominator, a.order * k,
+                                                          {e * k: v for e, v in da.items()})))
+        for got, expected in cases:
+            assert window(got) == expected
+            assert_canonical(got)
+
+
+def test_disjoint_windows_add_nothing_past_the_truncation():
+    # b starts past a's window, so a + b is a mod q^2 and a - b likewise
+    a = PuiseuxSeries.from_terms({0: 1, 1: 2}, 2)
+    b = PuiseuxSeries.from_terms({3: 5, 4: 7}, 6)
+    assert window(a + b) == window(a) == window(b + a) == window(a - b)
+    c = PuiseuxSeries(2, 9, 12, [F(1, 3), 0, 4])  # q^(9/2) + ..., mod q^6
+    assert window(a + c) == (2, 0, 4, (F(1), F(0), F(2), F(0)))
+
+
+@st.composite
+def raw_window_st(draw):
+    ram = draw(st.sampled_from((1, 2, 5)))
+    lo = draw(st.integers(-4, 4))
+    nums = draw(st.lists(st.integers(-50, 50), min_size=0, max_size=8))
+    den = draw(st.integers(1, 60))
+    return ram, lo, nums, den
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_window_st(), st.sampled_from((1, 2, 3, 5)), st.integers(-7, 7).filter(bool))
+def test_equal_and_hash_agree_across_grids_and_scalings(raw, m, k):
+    ram, lo, nums, den = raw
+    a = _of(ram, lo, lo + len(nums), nums, den)
+    fine = [0] * (len(nums) * m)
+    fine[::m] = nums
+    b = _of(ram * m, lo * m, (lo + len(nums)) * m, fine, den)
+    c = _of(ram, lo, lo + len(nums), [k * x for x in nums], k * den)
+    d = PuiseuxSeries(ram, lo, lo + len(nums), [F(x, den) for x in nums])
+    for s in (b, c, d):
+        assert_canonical(s)
+        assert s == a and hash(s) == hash(a)
 
 
 # -- ring axioms on random series (property-based) ---------------------------
