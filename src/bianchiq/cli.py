@@ -99,7 +99,10 @@ def _resolve_phi(args) -> complex:
         tau = parse_complex(args.tau)
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half-plane")
-        return theta.phi_numeric(tau)
+        try:
+            return theta.phi_numeric(tau)
+        except ArithmeticError as exc:
+            raise ValueError(f"tau = {args.tau}: {exc}") from None
     if args.phi is not None:
         return parse_complex(args.phi)
     raise ValueError("one of --tau or --phi is required")
@@ -185,6 +188,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_point(args) -> int:
     phi = _resolve_phi(args)
+    try:
+        return _point_op(args, phi)
+    except (ZeroDivisionError, OverflowError) as exc:
+        # a degenerate parameter (phi = 0: the quadrics need 1/phi) or one
+        # whose powers leave binary64
+        raise ValueError(f"{args.op} is undefined at phi = {phi}: {exc}") from None
+
+
+def _point_op(args, phi) -> int:
     pts = [_parse_point(s) for s in args.points]
     op = args.op
     if op in ("double", "neg", "on-curve") and len(pts) != 1:

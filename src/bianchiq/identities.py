@@ -410,7 +410,7 @@ def _primed(w, x, y, z):
     return ((w + x + y + z) / 2, (w + x - y - z) / 2, (w - x + y - z) / 2, (w - x - y + z) / 2)
 
 
-H = Fraction(1, 2)
+H = 0.5
 
 # The chain identities 2..10 as (lhs, rhs).  A side is (arguments,
 # products): the arguments name one of the tuples (v0, v1, v2, v3) built in
@@ -532,10 +532,29 @@ def _duplication_mixed(cfg: VerifyConfig, rng) -> float:
         z = cfg.random_z(rng)
         x = theta.theta_vector(z, tau)
         x2 = theta.theta_vector(2 * z, tau)
-        n = theta.nullwerte(tau)
+        n3 = theta.theta_k(3, 0.0, tau)
+        n1 = theta.theta_k(1, 0.0, tau)
         for k, rhs in enumerate(curve.double(x)):
-            worst = _worse(worst, _rel(n[3] ** 2 * n[1] * x2[k], rhs))
+            worst = _worse(worst, _rel(n3 ** 2 * n1 * x2[k], rhs))
     return worst
+
+
+def _transform_tables():
+    """theta-transforms as tables over the ten reduced indices: per rule,
+    (k, position of the reduced k - down, the multiplier when it depends on
+    k alone); and per k, (k, position of the reduced -k, parity sign)."""
+    position = {theta.reduce_index(k): i for i, k in enumerate(theta.INDICES)}
+    rules = {}
+    for name, (_, mult, down) in theta.shift_rules(1j).items():
+        k_only = name in theta.K_ONLY_RULES
+        rules[name] = tuple((k, position[theta.reduce_index(k - down)], mult(k, 0.0) if k_only else None)
+                            for k in theta.INDICES)
+    parity = tuple((k, position[theta.reduce_index(-k)], -1.0 if float(k).is_integer() else 1.0)
+                   for k in theta.INDICES)
+    return rules, parity
+
+
+_SHIFT_TABLE, _PARITY_TABLE = _transform_tables()
 
 
 def _theta_transforms(cfg: VerifyConfig, rng) -> float:
@@ -543,18 +562,19 @@ def _theta_transforms(cfg: VerifyConfig, rng) -> float:
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         z = cfg.random_z(rng)
-        rules = theta.shift_rules(tau)
         # every right-hand side is theta_j(z) for a reduced index j: evaluate
         # each once per sample
-        at_z = {k: theta.theta_k(k, z, tau) for k in theta.INDICES}
-        for shift, mult, down in rules.values():
-            for k in theta.INDICES:
-                lhs = theta.theta_k(k, z + shift, tau)
-                rhs = mult(k, z) * at_z[theta.reduce_index(k - down)]
+        at_z = [theta.theta_k(k, z, tau) for k in theta.INDICES]
+        for name, (shift, mult, _) in theta.shift_rules(tau).items():
+            zs = z + shift
+            shared = None if name in theta.K_ONLY_RULES else mult(None, z)
+            for k, j, factor in _SHIFT_TABLE[name]:
+                lhs = theta.theta_k(k, zs, tau)
+                rhs = (shared if factor is None else factor) * at_z[j]
                 worst = _worse(worst, _rel(lhs, rhs))
-        for k in theta.INDICES:
-            sgn = -1.0 if k.denominator == 1 else 1.0
-            worst = _worse(worst, _rel(theta.theta_k(k, -z, tau), sgn * at_z[theta.reduce_index(-k)]))
+        mz = -z
+        for k, j, sign in _PARITY_TABLE:
+            worst = _worse(worst, _rel(theta.theta_k(k, mz, tau), sign * at_z[j]))
     return worst
 
 

@@ -16,8 +16,12 @@ characteristics exist, one per reduced index 0..4 and 1/2..9/2, so
 
 Summation uses a window centered on the largest term, sized so the first
 omitted term is below 1e-30 of the largest included one, and accumulates
-terms in descending magnitude (ties in ascending n).  The window, that
-order and the operand order of each exponent are fixed: every value is
+terms in descending magnitude (ties in ascending n).  Term n is
+exp(((pi*i*m)*m)*tau + ((2*pi*i)*m)*(z + c)) with m = n + p.  The two
+coefficients depend on (p, n) alone, so each of the ten characteristics
+keeps them in a table that fills as windows need it; any other p gets a
+throwaway table.  The window, the summation order and the operand order
+of each exponent are the same as in the term-by-term sum: every value is
 reproducible to the bit, and the residuals the identity checks report
 depend on it.
 """
@@ -60,18 +64,47 @@ def theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0
     n_max = math.ceil(center + half)
     if n_max - n_min > _MAX_WINDOW:
         raise ConvergenceError(f"window of {n_max - n_min} terms exceeds cap; Im(tau) too small")
-    ns = sorted(range(n_min, n_max + 1), key=lambda n: abs(n + p - center))
+    table = _COEFFICIENTS.get(p)
+    if table is None or n_min < table[0] or n_max > table[1]:
+        table = _coefficients(p, n_min, n_max)
+    lo, _, rows = table
     total = 0.0 + 0.0j
-    ipi = 1j * math.pi
-    two_ipi = 2 * ipi
     zc = z + c
     exp = cmath.exp
-    for n in ns:
-        m = n + p
-        total += exp(ipi * m * m * tau + two_ipi * m * zc)
+    # rows ascend in n, and sorted is stable: ties stay in ascending n
+    for _, tau_coeff, z_coeff in sorted(rows[n_min - lo:n_max - lo + 1], key=lambda r: abs(r[0] - center)):
+        total += exp(tau_coeff * tau + z_coeff * zc)
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise OverflowError("theta summation overflowed binary64")
     return total
+
+
+_IPI = 1j * math.pi
+_TWO_IPI = 2 * _IPI
+# The farthest n a characteristic's table keeps; the numeric checks stay
+# within -6 <= n <= 6.
+_REACH = 64
+
+
+def _coefficients(p: float, n_min: int, n_max: int) -> tuple:
+    """The exponent rows (m, ipi*m*m, 2*ipi*m), m = n + p, for n from lo to
+    hi, as (lo, hi, rows) with [n_min, n_max] inside [lo, hi].
+
+    One of the ten characteristics keeps its table, widened to the union
+    with the window while that stays within +-_REACH.  Any other p, or a
+    window beyond the reach, gets a throwaway table of the window alone."""
+    shared = _COEFFICIENTS.get(p)
+    keep = shared is not None and -_REACH <= n_min and n_max <= _REACH
+    if keep and shared[2]:
+        n_min, n_max = min(n_min, shared[0]), max(n_max, shared[1])
+    rows = []
+    for n in range(n_min, n_max + 1):
+        m = n + p
+        rows.append((m, _IPI * m * m, _TWO_IPI * m))
+    table = (n_min, n_max, rows)
+    if keep:
+        _COEFFICIENTS[p] = table
+    return table
 
 
 def reduce_index(k) -> Fraction:
@@ -82,11 +115,14 @@ def reduce_index(k) -> Fraction:
     return k % 5
 
 
-# The ten reduced indices, and p = 1/2 - k/5 for each.  Equal numbers hash
-# equal, so an int, float or Fraction spelling of a reduced index finds its
-# entry.
-INDICES = tuple(Fraction(k) for k in range(5)) + tuple(Fraction(2 * k + 1, 2) for k in range(5))
-_CHARACTERISTIC = {k: float(Fraction(1, 2) - k / 5) for k in INDICES}
+# The ten reduced indices, and p = 1/2 - k/5 for each, keyed by float(k):
+# an int or float index is then a C-level dict hit, and a Fraction finds
+# its entry too, since equal numbers hash equal.
+INDICES = tuple(range(5)) + tuple(k + 0.5 for k in range(5))
+_CHARACTERISTIC = {float(k): float(Fraction(1, 2) - Fraction(k) / 5) for k in INDICES}
+# The exponent table (lo, hi, rows) of each characteristic, empty until a
+# window needs it; see _coefficients.
+_COEFFICIENTS = {p: (0, -1, ()) for p in _CHARACTERISTIC.values()}
 
 
 def theta_k(k, z: complex, tau: complex) -> complex:
@@ -116,18 +152,21 @@ def phi_numeric(tau: complex) -> complex:
 
 
 # Quasi-periodicity: theta_k(z + shift) = mult(k, z) * theta_{k - down}(z),
-# one entry per row of the transformation table.  The z+1 sign depends only
-# on whether k is integral or half-integral.
+# one entry per row of the transformation table.  The z+1 and z+1/5
+# multipliers depend on k alone (the z+1 sign only on whether k is
+# integral); the other four read z and tau, never k.
+K_ONLY_RULES = ("z+1", "z+1/5")
+
 
 def shift_rules(tau: complex) -> dict:
     """The six shift rules at a fixed tau, as name -> (shift, mult, down)."""
     ipi = 1j * math.pi
     tau = complex(tau)
     return {
-        "z+1": (1.0, lambda k, z: -1.0 if Fraction(k).denominator == 1 else 1.0, Fraction(0)),
-        "z+tau": (tau, lambda k, z: -cmath.exp(-5 * ipi * tau - 10 * ipi * z), Fraction(0)),
-        "z+1/5": (0.2, lambda k, z: -cmath.exp(-2j * math.pi * float(Fraction(k)) / 5), Fraction(0)),
-        "z+tau/10": (tau / 10, lambda k, z: -1j * cmath.exp(-ipi * tau / 20 - ipi * z), Fraction(1, 2)),
-        "z+tau/5": (tau / 5, lambda k, z: -cmath.exp(-ipi * tau / 5 - 2 * ipi * z), Fraction(1)),
-        "z+2tau/5": (2 * tau / 5, lambda k, z: cmath.exp(-4 * ipi * tau / 5 - 4 * ipi * z), Fraction(2)),
+        "z+1": (1.0, lambda k, z: -1.0 if float(k).is_integer() else 1.0, 0),
+        "z+tau": (tau, lambda k, z: -cmath.exp(-5 * ipi * tau - 10 * ipi * z), 0),
+        "z+1/5": (0.2, lambda k, z: -cmath.exp(-2j * math.pi * float(k) / 5), 0),
+        "z+tau/10": (tau / 10, lambda k, z: -1j * cmath.exp(-ipi * tau / 20 - ipi * z), 0.5),
+        "z+tau/5": (tau / 5, lambda k, z: -cmath.exp(-ipi * tau / 5 - 2 * ipi * z), 1),
+        "z+2tau/5": (2 * tau / 5, lambda k, z: cmath.exp(-4 * ipi * tau / 5 - 4 * ipi * z), 2),
     }

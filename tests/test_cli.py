@@ -243,6 +243,24 @@ class TestPoint:
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        # theta_2(0, tau) underflows to zero, so phi = -theta_1/theta_2 is undefined
+        (("two-torsion", "--tau=1e3i"), "vanished"),
+        (("on-curve", "[[1,0],[0,0],[0,0],[0,0],[0,0]]", "--tau=1e3i"), "vanished"),
+        # the theta window would exceed its term cap
+        (("two-torsion", "--tau=1e-12i"), "exceeds cap"),
+        # the quadrics the points are checked against need 1/phi
+        (("five-torsion", "--phi", "0"), "division by zero"),
+        (("on-curve", "[[1,0],[0,0],[0,0],[0,0],[0,0]]", "--phi", "0"), "1/phi"),
+        # phi^3 leaves binary64
+        (("two-torsion", "--phi", "1e300"), "exponentiation"),
+    ])
+    def test_parameter_outside_usable_region_exits_2(self, capsys, argv, reason):
+        rc, out, err = run_cli(capsys, "point", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and reason in err
+
 
 class TestGroup:
     def test_gamma10(self, capsys):

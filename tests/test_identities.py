@@ -1,6 +1,7 @@
 """The check registry: catalog shape, determinism, exactness separation,
 and mutation sensitivity of every exact check."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -183,6 +184,24 @@ class TestBitIdentity:
         cfg = VerifyConfig(samples=5, seed=seed)
         got = run_identity("theta-transforms", cfg).worst_residual
         assert got.hex() == reference_theta_transforms(cfg, cfg.rng_for("theta-transforms")).hex()
+
+
+# sha256 of the 43 lines "name status worst_residual.hex()", joined by
+# newlines in registry order, at the benchmark's 200 samples
+RESIDUAL_DIGESTS_AT_200 = {
+    7: "055d98b94413d2282ab186b86d0c35c546d9830c426ac275946c69ffef502dfe",
+    403: "92a6fe2a24cf361e50c15a2bfaf2ec88416f341e7499d6c8073f3562330992e8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RESIDUAL_DIGESTS_AT_200))
+def test_numeric_residuals_keep_their_bits_at_200_samples(seed):
+    cfg = VerifyConfig(samples=200, seed=seed)
+    lines = []
+    for name in NUMERIC:
+        r = run_identity(name, cfg)
+        lines.append(f"{name} {r.status} {r.worst_residual.hex()}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RESIDUAL_DIGESTS_AT_200[seed]
 
 
 class TestNaNResidual:

@@ -10,6 +10,9 @@ import pytest
 from conftest import reference_theta_char, reference_theta_k
 
 from bianchiq.theta import (
+    _CHARACTERISTIC,
+    _COEFFICIENTS,
+    _REACH,
     ConvergenceError,
     DomainError,
     phi_numeric,
@@ -157,6 +160,73 @@ class TestBitIdentity:
     def test_invalid_index_raises(self, k):
         with pytest.raises(ValueError):
             theta_k(k, 0.1j, 1j)
+
+
+def outcome(fn, *args, **kwargs):
+    """repr of the value, or the name of the exception raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+class TestCoefficientTables:
+    """The per-characteristic exponent tables: every window, near n = 0 or
+    far from it, inside or beyond a table's reach, sums the same terms in
+    the same order as the term-by-term reference."""
+
+    @staticmethod
+    def far_points(seed, count):
+        # centre -Im(z)/Im(tau) - p up to ~50 from n = 0, and Im(tau) down
+        # to 0.05 for wide windows; the largest term stays below e^600
+        rng = random.Random(seed)
+        for _ in range(count):
+            ratio = rng.uniform(-50, 50)
+            a = rng.uniform(0.05, min(3.0, 600 / (math.pi * ratio * ratio + 1e-9)))
+            yield complex(rng.uniform(-2, 2), ratio * a), complex(rng.uniform(-0.5, 0.5), a)
+
+    def test_far_windows_at_random_characteristics(self):
+        rng = random.Random(17)
+        for z, tau in self.far_points(41, 40):
+            p, c = rng.uniform(-1, 1), rng.uniform(-3, 3)
+            for extra in (0.0, 40.0):
+                assert outcome(theta_char, p, c, z, tau, extra=extra) == \
+                    outcome(reference_theta_char, p, c, z, tau, extra=extra), (p, z, tau, extra)
+
+    def test_far_windows_at_the_ten_characteristics(self):
+        # the shared tables, grown in place and past their reach; both
+        # zeros find the table of p = 0 (k = 5/2)
+        ps = sorted(set(_CHARACTERISTIC.values())) + [0.0, -0.0]
+        for z, tau in self.far_points(43, 25):
+            for p in ps:
+                for extra in (0.0, 40.0):
+                    assert outcome(theta_char, p, 2.5, z, tau, extra=extra) == \
+                        outcome(reference_theta_char, p, 2.5, z, tau, extra=extra), (p, z, tau, extra)
+            for k in (0, 4, 2.5, F(7, 2)):
+                assert outcome(theta_k, k, z / 5, tau / 5) == outcome(reference_theta_k, k, z / 5, tau / 5)
+
+    def test_index_spellings_agree_with_the_reference(self):
+        for z, tau in TestBitIdentity.points(77, 10):
+            for spellings in ((1.5, F(3, 2), -3.5, F(-7, 2)), (8, 3, 3.0, F(-2))):
+                values = {repr(theta_k(k, z, tau)) for k in spellings}
+                assert values == {repr(reference_theta_k(spellings[0], z, tau))}, (spellings, z, tau)
+
+    def test_foreign_characteristics_leave_no_state(self):
+        before = {p: table[:2] for p, table in _COEFFICIENTS.items()}
+        rng = random.Random(3)
+        for _ in range(200):
+            theta_char(rng.uniform(-1, 1), 0.5, 0.3 + 0.1j, 1.1j)
+        assert {p: table[:2] for p, table in _COEFFICIENTS.items()} == before
+
+    def test_tables_stay_within_their_reach(self):
+        # windows centred near n = -1000 and n = 1000, beyond the reach,
+        # are summed from throwaway tables (the largest terms are e^628
+        # and e^471)
+        for z, tau in ((0.04j, 4e-5j), (0.1 - 0.03j, 3e-5j)):
+            assert repr(theta_k(1, z, tau)) == repr(reference_theta_k(1, z, tau))
+        assert all(-_REACH <= lo and hi <= _REACH and len(rows) == hi - lo + 1
+                   for lo, hi, rows in _COEFFICIENTS.values())
+        assert len(_COEFFICIENTS) == 10
 
 
 class TestThetaVector:
