@@ -14,7 +14,7 @@ points of sigma_S and sigma_ST, cusps are cycles of sigma_T, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -68,20 +68,19 @@ def enumerate_group(n: int) -> tuple[Mat, ...]:
     return result
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """A congruence condition at a defining modulus.
+class SubgroupSpec(namedtuple("SubgroupSpec", "name modulus residues")):
+    """A congruence condition at a defining modulus; ``residues`` is the
+    frozenset of accepted matrices mod ``modulus``.
 
     Construction checks that the residue set contains the identity and is
     closed under multiplication, so every spec is a subgroup of
     SL2(Z/modulus); raises NotAGroup otherwise.
     """
 
-    name: str
-    modulus: int
-    residues: frozenset  # accepted matrices mod `modulus`
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         m, res = self.modulus, self.residues
         if tuple(v % m for v in (1, 0, 0, 1)) not in res:
             raise NotAGroup(f"{self.name}: identity missing")
@@ -89,14 +88,20 @@ class SubgroupSpec:
             for h in res:
                 if mat_mul(g, h, m) not in res:
                     raise NotAGroup(f"{self.name}: residue set not closed under multiplication")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: check it too
+        return cls(*iterable)
 
     def contains(self, g: Mat) -> bool:
         m = self.modulus
-        return tuple(v % m for v in g) in self.residues
+        a, b, c, d = g
+        return (a % m, b % m, c % m, d % m) in self.residues
 
     @classmethod
     def from_predicate(cls, name: str, modulus: int, pred) -> "SubgroupSpec":
-        return cls(name, modulus, frozenset(g for g in enumerate_group(modulus) if pred(*g)))
+        return cls(name, modulus, frozenset([g for g in enumerate_group(modulus) if pred(*g)]))
 
     @classmethod
     def from_residues(cls, name: str, modulus: int, mats) -> "SubgroupSpec":
@@ -104,9 +109,9 @@ class SubgroupSpec:
 
     def intersect(self, other: "SubgroupSpec", name: str | None = None) -> "SubgroupSpec":
         m = math.lcm(self.modulus, other.modulus)
-        res = frozenset(
-            g for g in enumerate_group(m) if self.contains(g) and other.contains(g)
-        )
+        p, r, q, s = self.modulus, self.residues, other.modulus, other.residues
+        res = frozenset([(a, b, c, d) for a, b, c, d in enumerate_group(m)
+                         if (a % p, b % p, c % p, d % p) in r and (a % q, b % q, c % q, d % q) in s])
         return SubgroupSpec(name or f"{self.name}&{other.name}", m, res)
 
 
@@ -263,15 +268,10 @@ def _quotient_shape(hi: frozenset, ho: frozenset, n: int) -> str:
     return f"order {size}, {'abelian' if abelian else 'nonabelian'}"
 
 
-@dataclass(frozen=True)
-class GenusData:
+class GenusData(namedtuple("GenusData", "mu eps2 eps3 cusps genus")):
     """Projective index, elliptic point counts, cusp count, and genus."""
 
-    mu: int
-    eps2: int
-    eps3: int
-    cusps: int
-    genus: int
+    __slots__ = ()
 
 
 def genus_data(spec: SubgroupSpec, n: int | None = None) -> GenusData:

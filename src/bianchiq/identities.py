@@ -22,10 +22,8 @@ import.
 
 from __future__ import annotations
 
-import hashlib
-import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -40,24 +38,32 @@ class UnknownName(KeyError):
     """A check name outside the registry."""
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    series_order: int = 30
-    tol: float = 1e-9
-    samples: int = 20
-    seed: int = 7
-    tau_re: tuple[float, float] = (-0.5, 0.5)
-    tau_im: tuple[float, float] = (0.8, 2.0)
+# The records are namedtuples: immutable, equal and hashed by value.
 
-    def __post_init__(self):
+
+class VerifyConfig(namedtuple("VerifyConfig", "series_order tol samples seed tau_re tau_im",
+                              defaults=(30, 1e-9, 20, 7, (-0.5, 0.5), (0.8, 2.0)))):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.series_order < 10:
             raise ValueError("series_order must be >= 10")
         if not (0.0 < self.tol < 1e-4):
             raise ValueError("tol must lie in (0, 1e-4)")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        return self
 
-    def rng_for(self, name: str) -> random.Random:
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: check it too
+        return cls(*iterable)
+
+    def rng_for(self, name: str):
+        # imported here: hashlib loads OpenSSL, and only numeric checks draw
+        import hashlib
+        import random
+
         h = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
         return random.Random(self.seed ^ h)
 
@@ -69,15 +75,10 @@ class VerifyConfig:
         return complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    kind: str
-    status: str  # pass | fail
-    worst_residual: float | None = None
-    first_failing_exponent: str | None = None
-    order: str | None = None
-    samples: int | None = None
+# status: pass | fail
+class CheckResult(namedtuple("CheckResult", "name kind status worst_residual first_failing_exponent order samples",
+                             defaults=(None,) * 4)):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {"name": self.name, "kind": self.kind, "status": self.status}
@@ -91,27 +92,16 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class Report:
-    config: VerifyConfig
-    checks: tuple[CheckResult, ...]
-    passed: int
-    failed: int
-    elapsed_ms: float
+class Report(namedtuple("Report", "config checks passed failed elapsed_ms")):
+    __slots__ = ()
 
     def all_passed(self) -> bool:
         return self.failed == 0
 
     def to_json(self, with_elapsed: bool = True) -> dict:
+        cfg = self.config
         out = {
-            "config": {
-                "series_order": self.config.series_order,
-                "tol": self.config.tol,
-                "samples": self.config.samples,
-                "seed": self.config.seed,
-                "tau_re": list(self.config.tau_re),
-                "tau_im": list(self.config.tau_im),
-            },
+            "config": {**cfg._asdict(), "tau_re": list(cfg.tau_re), "tau_im": list(cfg.tau_im)},
             "checks": [c.to_json() for c in self.checks],
             "passed": self.passed,
             "failed": self.failed,
@@ -677,13 +667,13 @@ _NUMERIC = {
 # -- registry -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    kind: str  # exact_series | exact_poly | numeric
-    description: str
-    runner: object = field(repr=False)
-    mutation_target: str | None = None
+# kind: exact_series | exact_poly | numeric
+class IdentityCheck(namedtuple("IdentityCheck", "name kind description runner mutation_target", defaults=(None,))):
+    __slots__ = ()
+
+    def __repr__(self):  # without the runner, whose repr carries an address
+        return (f"IdentityCheck(name={self.name!r}, kind={self.kind!r}, description={self.description!r}, "
+                f"mutation_target={self.mutation_target!r})")
 
 
 def _build_registry() -> tuple[IdentityCheck, ...]:

@@ -18,7 +18,10 @@ from fractions import Fraction
 
 from .exact import PuiseuxSeries, pochhammer_product
 
-NAMES = ("phi", "phi5", "g1", "g2", "g3", "delta", "j5", "j10", "j", "eta", "neg_g2_2tau")
+# name -> leading exponent; an order at or below it holds no coefficient
+LEADING = {"phi": Fraction(1, 5), "phi5": 1, "g1": 0, "g2": Fraction(1, 2), "g3": Fraction(1, 2),
+           "delta": Fraction(1, 2), "j5": -1, "j10": -1, "j": -1, "eta": Fraction(1, 24), "neg_g2_2tau": 1}
+NAMES = tuple(LEADING)
 
 ROGERS_RAMANUJAN_FACTORS = ((1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1))
 
@@ -142,11 +145,14 @@ def named_series(name: str, order=30) -> PuiseuxSeries:
     """Memoized lookup of a named expansion at (at least) the given order.
 
     The returned series is truncated to exactly ``order`` so the value seen
-    by callers is independent of what the cache happens to hold.
+    by callers is independent of what the cache happens to hold.  An order
+    at or below the leading exponent raises ValueError, cold or warm.
     """
     if name not in NAMES:
         raise UnknownName(name)
     order = Fraction(order)
+    if order <= LEADING[name]:
+        raise ValueError(f"order must exceed {LEADING[name]}, the leading exponent of {name}")
     hit = _cache.get(name)
     if hit is None or hit.order < order:
         hit = _cache[name] = _build(name, order)

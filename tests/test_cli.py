@@ -75,6 +75,13 @@ class TestExpand:
         assert out == ""
         assert err.startswith("error: ") and "'1/0'" in err
 
+    @pytest.mark.parametrize("order", ["1/2", "0"])
+    def test_order_at_or_below_leading_exponent_is_usage_error(self, capsys, order):
+        rc, out, err = run_cli(capsys, "expand", "delta", "--order", order)
+        assert rc == 2
+        assert out == ""
+        assert "1/2" in err and "delta" in err
+
     def test_unknown_series(self, capsys):
         rc, _, err = run_cli(capsys, "expand", "zeta")
         assert rc == 2 and "unknown series" in err
@@ -314,10 +321,19 @@ class TestSubprocess:
         import subprocess
         import sys
 
-        r = subprocess.run([sys.executable, "-c",
-                            "import sys, bianchiq.cli; print('numpy' in sys.modules)"],
-                           capture_output=True, text=True)
-        assert r.returncode == 0 and r.stdout.strip() == "False"
+        # a cold start loads neither numpy nor dataclasses (which pulls in
+        # inspect); hashlib waits for the first numeric check
+        code = (
+            "import sys, bianchiq.cli\n"
+            "from bianchiq import congruence, identities\n"
+            "congruence.builtin_specs()\n"
+            "print(sorted(m for m in ('numpy', 'dataclasses', 'inspect', 'hashlib') if m in sys.modules))\n"
+            "identities.run_identity('theta-nullwerte', identities.VerifyConfig(samples=1))\n"
+            "print('hashlib' in sys.modules)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == ["[]", "True"]
 
     def test_usage_error_exit_code(self):
         import subprocess

@@ -1,6 +1,10 @@
 """Congruence-subgroup computations: orders, images, indices, normality,
 quotient shapes, cusp counts, and genus."""
 
+import hashlib
+import math
+from itertools import combinations_with_replacement
+
 import pytest
 
 from bianchiq.congruence import (
@@ -80,6 +84,75 @@ class TestImages:
                 img = image_of(spec, n)
                 assert tuple(v % n for v in (1, 0, 0, 1)) in img, (spec.name, n)
                 assert all(mat_mul(g, h, n) in img for g in img for h in img), (spec.name, n)
+
+
+# name -> (modulus, order, sha256 prefix of repr(sorted(residues)))
+RESIDUE_PINS = {
+    "Gamma(1)": (1, 1, "ca5b5568fba380da"),
+    "Gamma1(1)": (1, 1, "ca5b5568fba380da"),
+    "Gamma0(1)": (1, 1, "ca5b5568fba380da"),
+    "Gamma(2)": (2, 1, "32676ccee9509aba"),
+    "Gamma1(2)": (2, 2, "18496e62a6d1c607"),
+    "Gamma0(2)": (2, 2, "18496e62a6d1c607"),
+    "Gamma(5)": (5, 1, "32676ccee9509aba"),
+    "Gamma1(5)": (5, 5, "1a8bb0f508639e01"),
+    "Gamma0(5)": (5, 20, "63c7d0e2eb12cbb7"),
+    "Gamma(10)": (10, 1, "32676ccee9509aba"),
+    "Gamma1(10)": (10, 10, "893a07e1fd88f425"),
+    "Gamma0(10)": (10, 40, "0238ae65117dc4e9"),
+    "G1": (10, 5, "6609e4cc2eb99ad1"),
+    "G2": (10, 15, "ce955ff4a4470b44"),
+    "G3": (10, 2, "6edd08197aa3f572"),
+    "G4": (10, 3, "1d3617ba75746ce4"),
+    "Gamma(2)&Gamma1(5)": (10, 5, "6609e4cc2eb99ad1"),
+    "Gamma0(2)&Gamma(5)": (10, 2, "6edd08197aa3f572"),
+}
+
+
+def test_builtin_residues_pinned():
+    got = {name: (s.modulus, len(s.residues), hashlib.sha256(repr(sorted(s.residues)).encode()).hexdigest()[:16])
+           for name, s in builtin_specs().items()}
+    assert got == RESIDUE_PINS
+
+
+def _brute_image(spec, n):
+    m = spec.modulus
+    return frozenset(g for g in enumerate_group(n) if tuple(v % m for v in g) in spec.residues)
+
+
+def test_intersect_contains_and_image_match_brute_force():
+    specs = list(builtin_specs().values())
+    for a, b in combinations_with_replacement(specs, 2):
+        m = math.lcm(a.modulus, b.modulus)
+        meet = a.intersect(b)
+        assert (meet.name, meet.modulus) == (f"{a.name}&{b.name}", m)
+        assert meet.residues == _brute_image(a, m) & _brute_image(b, m), meet.name
+    for spec in specs:
+        image = image_of(spec, 10)
+        assert image == _brute_image(spec, 10), spec.name
+        # entries outside 0..modulus-1 reduce before the lookup
+        for g in enumerate_group(10):
+            shifted = (g[0] - 30, g[1] + 10, g[2] - 10, g[3] + 20)
+            assert spec.contains(shifted) == (g in image), (spec.name, g)
+
+
+def test_record_contract():
+    g4 = get_spec("G4")
+    assert SubgroupSpec("G4", 10, g4.residues) == g4
+    assert hash(SubgroupSpec("G4", 10, g4.residues)) == hash(g4)
+    assert (g4.name, g4.modulus) == ("G4", 10)
+    gd = GenusData(1, 2, 3, 4, 5)
+    assert (gd.mu, gd.eps2, gd.eps3, gd.cusps, gd.genus) == (1, 2, 3, 4, 5)
+    assert gd == GenusData(mu=1, eps2=2, eps3=3, cusps=4, genus=5) != GenusData(1, 2, 3, 4, 6)
+    assert hash(gd) == hash(GenusData(1, 2, 3, 4, 5))
+    assert repr(gd) == "GenusData(mu=1, eps2=2, eps3=3, cusps=4, genus=5)"
+    for record, attr in ((g4, "modulus"), (g4, "extra"), (gd, "genus"), (gd, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 0)
+    with pytest.raises(NotAGroup, match="identity missing"):
+        SubgroupSpec(name="x", modulus=10, residues=frozenset({(1, 1, 0, 1)}))
+    with pytest.raises(NotAGroup, match="not closed"):
+        g4._replace(residues=g4.residues | {(1, 1, 0, 1)})
 
 
 GENUS_TABLE = {

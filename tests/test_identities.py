@@ -12,6 +12,9 @@ from conftest import reference_theta_k, reference_theta_transforms
 
 from bianchiq import theta
 from bianchiq.identities import (
+    CheckResult,
+    IdentityCheck,
+    Report,
     UnknownName,
     VerifyConfig,
     check_names,
@@ -151,6 +154,42 @@ class TestReportSchema:
             VerifyConfig(tol=1.0)
         with pytest.raises(ValueError):
             VerifyConfig(samples=0)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"series_order": 9}, "series_order must be >= 10"),
+        ({"tol": 0.0}, "tol must lie in (0, 1e-4)"),
+        ({"tol": 1e-4}, "tol must lie in (0, 1e-4)"),
+        ({"samples": 0}, "samples must be >= 1"),
+    ])
+    def test_config_validation_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            VerifyConfig(**kwargs)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError, match="must"):
+            VerifyConfig(*{**VerifyConfig()._asdict(), **kwargs}.values())  # positionally
+        with pytest.raises(ValueError, match="must"):
+            VerifyConfig()._replace(**kwargs)
+
+    def test_record_contract(self):
+        cfg = VerifyConfig()
+        assert repr(cfg) == ("VerifyConfig(series_order=30, tol=1e-09, samples=20, seed=7, "
+                             "tau_re=(-0.5, 0.5), tau_im=(0.8, 2.0))")
+        # field order and defaults, read back by name
+        cfg = VerifyConfig(12, 1e-8, 3, 5)
+        assert (cfg.series_order, cfg.tol, cfg.samples, cfg.seed) == (12, 1e-8, 3, 5)
+        assert (cfg.tau_re, cfg.tau_im) == ((-0.5, 0.5), (0.8, 2.0))
+        assert cfg == VerifyConfig(series_order=12, tol=1e-8, samples=3, seed=5) != VerifyConfig()
+        assert hash(cfg) == hash(VerifyConfig(series_order=12, tol=1e-8, samples=3, seed=5))
+        r = CheckResult("x", "numeric", "pass")
+        assert (r.worst_residual, r.first_failing_exponent, r.order, r.samples) == (None,) * 4
+        rep = Report(cfg, (r,), 1, 0, 2.5)
+        assert (rep.config, rep.checks, rep.passed, rep.failed, rep.elapsed_ms) == (cfg, (r,), 1, 0, 2.5)
+        check = IdentityCheck("x", "numeric", "d", len)
+        assert (check.runner, check.mutation_target) == (len, None)
+        assert repr(check) == "IdentityCheck(name='x', kind='numeric', description='d', mutation_target=None)"
+        for record, attr in ((cfg, "seed"), (cfg, "extra"), (r, "status"), (rep, "failed"), (check, "kind")):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, 0)
 
     def test_descriptions_present(self):
         for c in registry():

@@ -163,22 +163,56 @@ def test_memoization_consistency():
 FRACTIONAL_ORDERS = (F(1, 2), F(3, 2), F(7, 3), F(21, 5), F(11, 4), F(31, 2), F(41, 10))
 
 
-def test_fractional_orders_do_not_depend_on_cache_state(monkeypatch):
-    # cold: each name built from an empty cache at the fractional order;
-    # warm: the same order served from a cache built at order 42
-    warm_cache = {}
-    monkeypatch.setattr(modular, "_cache", warm_cache)
+def _cold_and_warm(monkeypatch, name, order, warm_cache):
+    """named_series(name, order) from an empty cache and from warm_cache,
+    each as (ram, lo, trunc, coeffs) or as the ValueError message."""
+    out = []
+    for cache in ({}, warm_cache):
+        monkeypatch.setattr(modular, "_cache", cache)
+        try:
+            s = named_series(name, order)
+        except ValueError as exc:
+            out.append(str(exc))
+        else:
+            assert s.order == order, (name, order)
+            out.append((s.ram, s.lo, s.trunc, s.coeffs))
+    return out
+
+
+@pytest.fixture(scope="module")
+def warm_cache():
+    # every name built at order 42, so lower orders are served from it
+    saved, modular._cache = modular._cache, {}
     for name in NAMES:
         named_series(name, 42)
+    cache, modular._cache = modular._cache, saved
+    return cache
+
+
+# name -> leading exponent, read off the published expansions
+LEADING = {"phi": F(1, 5), "phi5": 1, "g1": 0, "g2": F(1, 2), "g3": F(1, 2), "delta": F(1, 2),
+           "j5": -1, "j10": -1, "j": -1, "eta": F(1, 24), "neg_g2_2tau": 1}
+
+
+def test_fractional_orders_do_not_depend_on_cache_state(monkeypatch, warm_cache):
+    # an order at or below a leading exponent raises, cold and warm alike
     for name in NAMES:
         for order in FRACTIONAL_ORDERS:
-            monkeypatch.setattr(modular, "_cache", {})
-            cold = named_series(name, order)
-            monkeypatch.setattr(modular, "_cache", warm_cache)
-            warm = named_series(name, order)
-            key = (name, order)
-            assert (cold.ram, cold.lo, cold.trunc, cold.coeffs) == (warm.ram, warm.lo, warm.trunc, warm.coeffs), key
-            assert cold.order == order, key
+            cold, warm = _cold_and_warm(monkeypatch, name, order, warm_cache)
+            assert cold == warm, (name, order)
+            assert isinstance(cold, str) == (order <= LEADING[name]), (name, order)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_orders_at_or_below_leading_exponent_raise(monkeypatch, warm_cache, name):
+    lead = LEADING[name]
+    assert warm_cache[name].valuation() == lead
+    for order in (lead, lead - F(1, 120)):
+        cold, warm = _cold_and_warm(monkeypatch, name, order, warm_cache)
+        assert cold == warm == f"order must exceed {lead}, the leading exponent of {name}", order
+    # just above the leading exponent the leading term is there, cold and warm
+    cold, warm = _cold_and_warm(monkeypatch, name, lead + F(1, 120), warm_cache)
+    assert cold == warm and cold[3][0] == warm_cache[name].coefficient(lead) != 0
 
 
 def test_ramification_divides_120():
