@@ -37,6 +37,12 @@ numerators to every m-th slot; truncation and ``reduce_ram`` are slices.
   V(x) = U(u0*x)/u0 has integer coefficients and V0 = 1, so its inverse W is
   integral, and the inverse of u = U/D has coefficient W_k*D/u0^(k+1) at
   relative index k, written over u0^(last+1) for the last index ``last``.
+* A q-Pochhammer product F = prod (1 - q^n)^(E_n) is built from its
+  logarithmic derivative q F'/F = sum c_k q^k, c_k = -sum_{d | k} d E_d,
+  as the recurrence n F_n = sum_{k=1..n} c_k F_{n-k} from F_0 = 1.  Each
+  factor and its inverse 1 + q^n + q^2n + ... is an integer series with
+  constant term 1, so F is one too, and the division by n is exact.  One
+  pass costs about N^2/2 integer products for N terms, whatever the E_n.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress, count
+from operator import index, mul
 
 
 class ZeroLeadingCoefficient(ArithmeticError):
@@ -433,39 +440,40 @@ def _int_mul(a, b, m: int) -> list:
 
 
 def pochhammer_product(factors, prefactor_exp, order) -> PuiseuxSeries:
-    """q^prefactor_exp * prod over n >= 1, n = a mod m, of (1 - q^n)^e,
+    """q^prefactor_exp * F, F = prod over n >= 1 of (1 - q^n)^(E_n),
     truncated at q^order.
 
-    ``factors`` is an iterable of (residue a, modulus m, exponent e) with
-    m >= 1 and integer e (negative exponents give the inverse factors).
-    Only finitely many n touch exponents below the requested order, so the
+    ``factors`` is an iterable of integer triples (residue a, modulus m,
+    exponent e), m >= 1; each adds e to E_n for every n = a mod m, n >= 1
+    (residue 0 means the multiples of m, and e < 0 gives inverse factors).
+    F is built in one pass of its logarithmic-derivative recurrence (see
+    the module docstring), whatever the signs and sizes of the E_n.  Only
+    finitely many n touch exponents below the requested order, so the
     result is exact through the window.
     """
     pre = _rat(prefactor_exp)
     o = _rat(order)
     if o <= pre:
         raise ValueError("order must exceed the prefactor exponent")
-    rel = o - pre
-    m_int = int(math.ceil(rel)) + 1
-    # the factors are integral, so the body stays in Python ints
-    body = [0] * (m_int + 1)
-    body[0] = 1
+    # the last body index below the order: pre + m_int < o <= pre + m_int + 1
+    m_int = math.ceil(o - pre) - 1
+    # weight[n] = -n * E_n
+    weight = [0] * (m_int + 1)
     for a, m, e in factors:
+        a, m, e = index(a), index(m), index(e)
         if m < 1:
             raise ValueError("modulus must be >= 1")
-        n = a % m if a % m else m
-        while n <= m_int:
-            if e > 0:
-                for _ in range(e):
-                    # multiply by (1 - q^n)
-                    for i in range(m_int, n - 1, -1):
-                        body[i] -= body[i - n]
-            elif e < 0:
-                for _ in range(-e):
-                    # divide by (1 - q^n): geometric series
-                    for i in range(n, m_int + 1):
-                        body[i] += body[i - n]
-            n += m
+        for n in range(a % m or m, m_int + 1, m):
+            weight[n] -= n * e
+    # dlog[k] = c_k = sum over d | k of weight[d]
+    dlog = [0] * (m_int + 1)
+    for d in compress(range(m_int + 1), weight):
+        for k in range(d, m_int + 1, d):
+            dlog[k] += weight[d]
+    # n F_n = sum_{k=1..n} c_k F_{n-k}, with F_0 = 1
+    body = [1]
+    for n in range(1, m_int + 1):
+        body.append(sum(map(mul, dlog[1 : n + 1], reversed(body))) // n)
     # q^pre times the body, on the grid of pre's denominator
     r = pre.denominator
     c = [0] * ((m_int + 1) * r)

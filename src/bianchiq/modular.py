@@ -30,17 +30,23 @@ class UnknownName(KeyError):
     """A series name outside the published catalog."""
 
 
+def _checked(name: str, order) -> Fraction:
+    """order as a Fraction, raising ValueError if it is at or below the
+    leading exponent of the named series (no coefficient is then known)."""
+    order = Fraction(order)
+    if order <= LEADING[name]:
+        raise ValueError(f"order must exceed {LEADING[name]}, the leading exponent of {name}")
+    return order
+
+
 def phi_series(order) -> PuiseuxSeries:
     """q^(1/5) prod (1-q^(5n-1))(1-q^(5n-4)) / ((1-q^(5n-2))(1-q^(5n-3)))."""
-    order = Fraction(order)
-    if order <= Fraction(1, 5):
-        raise ValueError("order must exceed 1/5")
-    return pochhammer_product(ROGERS_RAMANUJAN_FACTORS, Fraction(1, 5), order)
+    return pochhammer_product(ROGERS_RAMANUJAN_FACTORS, Fraction(1, 5), _checked("phi", order))
 
 
 def eta_series(order) -> PuiseuxSeries:
     """Dedekind eta: q^(1/24) prod (1-q^n)."""
-    return pochhammer_product([(0, 1, 1)], Fraction(1, 24), order)
+    return pochhammer_product([(0, 1, 1)], Fraction(1, 24), _checked("eta", order))
 
 
 def gi_series(i: int, order) -> PuiseuxSeries:
@@ -55,9 +61,7 @@ def gi_series(i: int, order) -> PuiseuxSeries:
     """
     if i not in (1, 2, 3):
         raise ValueError("root index must be 1, 2, or 3")
-    order = Fraction(order)
-    if order <= 0:
-        raise ValueError("order must be positive")
+    order = _checked(f"g{i}", order)
     phi = named_series("phi", 2 * order + 2)
     if i == 1:
         g = phi ** 2 / phi.subst_q_power(2)
@@ -70,33 +74,17 @@ def gi_series(i: int, order) -> PuiseuxSeries:
 
 def delta_series(order) -> PuiseuxSeries:
     """(g1-g2)(g2-g3)(g3-g1), the square root of the cubic discriminant."""
-    order = Fraction(order)
+    order = _checked("delta", order)
     g1, g2, g3 = (named_series(f"g{i}", order + 2) for i in (1, 2, 3))
     return ((g1 - g2) * (g2 - g3) * (g3 - g1)).reduce_ram().truncate(order)
 
 
 def eta_quotient_series(spec, order) -> PuiseuxSeries:
-    """prod over (scale m, exponent e) of eta(m tau)^e.
-
-    The integer-exponent product parts are combined at ramification 1 and
-    the q^(sum m*e/24) prefactor is attached once at the end, which keeps
-    the arithmetic off the 24-fold grid whenever the weights cancel.
-    """
-    order = Fraction(order)
-    spec = [(int(m), int(e)) for m, e in spec]
-    for m, _ in spec:
-        if m < 1:
-            raise ValueError("eta scale must be >= 1")
-    pre = sum(Fraction(m * e, 24) for m, e in spec)
-    if order <= pre:
-        raise ValueError("order must exceed the leading exponent")
-    body = PuiseuxSeries.one(order - pre + 1)
-    for m, e in spec:
-        part = pochhammer_product([(0, 1, e)], Fraction(0), (order - pre) / m + 1)
-        body = body * part.subst_q_power(m)
-    if pre:
-        body = body * PuiseuxSeries.monomial(pre, order + 1)
-    return body.truncate(order)
+    """prod over (scale m, exponent e) of eta(m tau)^e: q^(sum m*e/24)
+    times one Pochhammer product, since eta(m tau)^e adds e to the exponent
+    of (1 - q^n) at every multiple n of m."""
+    factors = [(0, m, e) for m, e in spec]
+    return pochhammer_product(factors, sum(Fraction(m * e, 24) for _, m, e in factors), order)
 
 
 def _sigma3(n: int) -> int:
@@ -105,9 +93,7 @@ def _sigma3(n: int) -> int:
 
 def j_series(order) -> PuiseuxSeries:
     """Modular j as E4^3 / eta^24 with E4 = 1 + 240 sum sigma_3(n) q^n."""
-    order = Fraction(order)
-    if order <= -1:
-        raise ValueError("order must exceed -1, the pole order of j")
+    order = _checked("j", order)
     m = int(math.ceil(order)) + 3
     e4 = PuiseuxSeries.from_terms(
         {0: 1, **{n: 240 * _sigma3(n) for n in range(1, m)}}, m
@@ -150,9 +136,7 @@ def named_series(name: str, order=30) -> PuiseuxSeries:
     """
     if name not in NAMES:
         raise UnknownName(name)
-    order = Fraction(order)
-    if order <= LEADING[name]:
-        raise ValueError(f"order must exceed {LEADING[name]}, the leading exponent of {name}")
+    order = _checked(name, order)
     hit = _cache.get(name)
     if hit is None or hit.order < order:
         hit = _cache[name] = _build(name, order)

@@ -220,6 +220,20 @@ class TestPochhammer:
         assert one.coefficient(0) == 1
         assert not any(c for e, c in one.terms() if e != 0)
 
+    @pytest.mark.parametrize("bad", (F(1, 2), F(2), 0.5, 2.0))
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_integer_factor_data_raises(self, bad, position):
+        # (1 - q)^(1/2) is not an integer product, and 2.0 is not a residue
+        factor = [0, 1, 1]
+        factor[position] = bad
+        with pytest.raises(TypeError):
+            pochhammer_product([tuple(factor)], F(0), 5)
+
+    @pytest.mark.parametrize("m", (0, -5))
+    def test_modulus_below_one_raises(self, m):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            pochhammer_product([(1, m, 1)], F(0), 5)
+
 
 class TestQPoly:
     def test_annihilator(self):
@@ -348,6 +362,48 @@ def polynomial_and_inverse(rng, lead):
     coeffs[0] = lead
     p = PuiseuxSeries(ram, lo, lo + n, coeffs)
     return p, PuiseuxSeries(*schoolbook_inverse(p))
+
+
+def random_factors(rng):
+    """Up to 6 factors (a, m, e): moduli 1..12, residues 0, negative or
+    past m, exponents in [-30, 30] with 0 and the ends drawn often, and
+    some classes repeated under another residue."""
+    factors = []
+    for _ in range(rng.randint(0, 6)):
+        if factors and rng.random() < 0.3:
+            a, m, _ = rng.choice(factors)
+            a += m * rng.randint(-2, 2)
+        else:
+            m = rng.randint(1, 12)
+            a = rng.choice((0, rng.randint(-12, 24)))
+        factors.append((a, m, rng.choice((0, -30, 30, rng.randint(-30, 30)))))
+    return factors
+
+
+def random_order(rng, pre):
+    """An integer order, one on a grid of 37ths (off the prefactor's grid
+    unless 37 divides the step), or one just above the prefactor."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return F(math.floor(pre) + rng.randint(1, 14))
+    if kind == 1:
+        return pre + F(rng.randint(1, 14 * 37), 37)
+    return pre + F(1, rng.choice((1, 7, 120)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pochhammer_product_matches_brute_force(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        factors = random_factors(rng)
+        pre = F(rng.randint(-48, 48), rng.choice((1, 2, 5, 24)))
+        o = random_order(rng, pre)
+        s = pochhammer_product(factors, pre, o)
+        # every n >= 1 in each class a mod m, below the order, one pass each
+        ns = [(n, e) for a, m, e in factors for n in range(1, math.ceil(o - pre)) if (n - a) % m == 0]
+        assert s.order == o, (factors, pre, o)
+        assert as_dict(s) == brute_force_product(ns, o, pre), (factors, pre, o)
+        assert_canonical(s)
 
 
 def test_inverse_of_short_polynomial_inverse():

@@ -1,16 +1,22 @@
 """Named q-expansions against their published leading terms and against
 independent brute-force product oracles."""
 
+import hashlib
+import json
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 from bianchiq import modular
+from bianchiq.exact import pochhammer_product
 from bianchiq.modular import (
     NAMES,
+    ROGERS_RAMANUJAN_FACTORS,
     UnknownName,
     delta_series,
     eta_quotient_series,
+    eta_series,
     gi_series,
     j_series,
     named_series,
@@ -203,16 +209,90 @@ def test_fractional_orders_do_not_depend_on_cache_state(monkeypatch, warm_cache)
             assert isinstance(cold, str) == (order <= LEADING[name]), (name, order)
 
 
+# the public builders a name has besides named_series
+BUILDERS = {"phi": phi_series, "eta": eta_series, "g1": partial(gi_series, 1), "g2": partial(gi_series, 2),
+            "g3": partial(gi_series, 3), "delta": delta_series, "j": j_series}
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_orders_at_or_below_leading_exponent_raise(monkeypatch, warm_cache, name):
     lead = LEADING[name]
+    message = f"order must exceed {lead}, the leading exponent of {name}"
     assert warm_cache[name].valuation() == lead
-    for order in (lead, lead - F(1, 120)):
+    for order in (lead, lead - F(1, 120), lead - 1):
         cold, warm = _cold_and_warm(monkeypatch, name, order, warm_cache)
-        assert cold == warm == f"order must exceed {lead}, the leading exponent of {name}", order
+        assert cold == warm == message, order
+        if name in BUILDERS:
+            with pytest.raises(ValueError) as exc:
+                BUILDERS[name](order)
+            assert str(exc.value) == message, order
     # just above the leading exponent the leading term is there, cold and warm
     cold, warm = _cold_and_warm(monkeypatch, name, lead + F(1, 120), warm_cache)
     assert cold == warm and cold[3][0] == warm_cache[name].coefficient(lead) != 0
+    if name in BUILDERS:
+        s = BUILDERS[name](lead + F(1, 120))
+        assert (s.ram, s.lo, s.trunc, s.coeffs) == cold
+
+
+def _sha256(s):
+    return hashlib.sha256(json.dumps(s.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of json.dumps(s.to_json(), sort_keys=True) for cold builds at orders
+# the benchmark's digests do not reach: 100/37 lies off every series' grid,
+# 301/8 off all but eta's, and 301/7 is the integer 43
+COLD_BUILD_SHA256 = {
+    ("phi", F(100, 37)): "50bc1bdd8d4371a609098ee2f21974d2c998cd1d182dd427374ad3fe19a48d87",
+    ("phi5", F(100, 37)): "14ca6ad0321bcd52183a971270de45b71dc239099aa2c28bd629a3a1ef52ee99",
+    ("g1", F(100, 37)): "0085bc6bab03aa1ec2c37ae5933e663f16ad9d483bf47091d34f8356dcf48bb2",
+    ("g2", F(100, 37)): "fce9d6d4a18d32bf3fffbbe083635f3dd65de1dc761269b971ba6a10cf583098",
+    ("g3", F(100, 37)): "88821674194e79f030c18515983a339a2ae9fe91d0d5d18f145df6841fdd952e",
+    ("delta", F(100, 37)): "863b819cfbf4946adbc3e266c3086d4904ef10c795a79a9b136ed224fa7a53d3",
+    ("j5", F(100, 37)): "c9562ecffde1b84f5247cd58df8508d1dd765e9f87bd8e6045e8690aac62a6c2",
+    ("j10", F(100, 37)): "8c9d9779cec72c4b1b4211a6645a0bf23874329a1e410bf5bddc0be932fd1716",
+    ("j", F(100, 37)): "95b685af0863f21557b07d3a88e63c0c9d417ac509e2ad02791a94021ddcdf9a",
+    ("eta", F(100, 37)): "c4991144b3e96c84537fa0a2539d439c75e16966052e83dba750e75c78c79e56",
+    ("neg_g2_2tau", F(100, 37)): "edbc9343b7c7735b3c90eb0574dcff4a4402ae02e1ef18839f729f5496a36742",
+    ("phi", F(301, 7)): "8888a0d5c84eedf3e961ac06520a4b65c1fea428f7341d4c12d9b65db87be0b4",
+    ("phi5", F(301, 7)): "d9d536290f2dd4b28d5ad20396e828f19291ee4184cbd424b1469e32c08e67b6",
+    ("g1", F(301, 7)): "0058d847dbae5222dbf4b4bbead264a04712cbd6987ca08482efe827d0357f95",
+    ("g2", F(301, 7)): "ff95537f7850960aec694aa44b8f3c3e9ef1303f48a3107ec9d6585c61e2e8b8",
+    ("g3", F(301, 7)): "d0efed1351ae0fa8d910fbb972cd5360607911f781f5e6083b0e5f7d258d7818",
+    ("delta", F(301, 7)): "3cc280f242aac4576b96a3cd89a925bc0c81ad63f47d34f00d8b1cf87245e1ca",
+    ("j5", F(301, 7)): "f622c0ffbb01e1f7ba28711c6c748cbcfe4bb11371285b606cfb98bc359453b1",
+    ("j10", F(301, 7)): "5b6b40e585ee9498e0dabaeab30486f0d44bf48587236219773f6ccc8191f0d9",
+    ("j", F(301, 7)): "8078bf98aae48b70074c1c6caccad2e1eef7101f67bae6949b24e39d2b27fdb8",
+    ("eta", F(301, 7)): "e2a2c3c1613e8c0f1c573d364899f822adb58d338e094580c874376a1fc0dbd4",
+    ("neg_g2_2tau", F(301, 7)): "115105e812077782304c1b722e4db2c28126a68e82b76e3316434c55c1401d0d",
+    ("phi", F(301, 8)): "9710fc6073b31613ceb01c994310ac86ffb5c1e8676e701ba61fe16ed3a5484e",
+    ("phi5", F(301, 8)): "b3333a9f6251266c8d5f4899c7eb37b814a4201881b4d91ed66b9f14cbcf77ff",
+    ("g1", F(301, 8)): "503ff58466721a0ecbfb5e5d267ece47425b1151e1107df6b29207b1ba631de1",
+    ("g2", F(301, 8)): "f39271694fe47df0ea1cf31f313626e09210d839277bac4d379ae77b461ec185",
+    ("g3", F(301, 8)): "1eebfef58e32115967f11b33be81500463d4ff7ddfcca1be26941c6662358d80",
+    ("delta", F(301, 8)): "9ab32500a771c02ad28958f6ce44fe8c7c5d30e16c5fb548a3d55ac0ab2d0188",
+    ("j5", F(301, 8)): "88390fa81b29fa535074f1e7cb9e969e6cb28f6e987ca31dbcf06393eed4372a",
+    ("j10", F(301, 8)): "9e685ab6bc25524efd1984e49a3cbfa007bbf8aa46aa5b2072f4d839b61895d3",
+    ("j", F(301, 8)): "6285c89f0966d3411fa3500420d007465c3a8dfa15ee864d9c98bee902cfb286",
+    ("eta", F(301, 8)): "2916640d1a0a3f7e81f1d982b9ec2b48a04bc38ae48a5789af72bc7307633d9d",
+    ("neg_g2_2tau", F(301, 8)): "652c971fca444f7c1903ea741f2303b92e08cd8abb5f4c6caade78ff46251b37",
+}
+
+# the same digests for pochhammer_product at order 808
+POCHHAMMER_SHA256 = {
+    "eta^24": "8cec6a3ae7f927fee2a79492727ce1ab4ec4472dde9d35d7e3f89b557e298a06",
+    "eta^-6": "70f64c89ccd4f1495b278b6c63fbe292c02a96ddf77f571694fed5b54596b0be",
+    "rogers-ramanujan": "c578bd8778290e9e60dfcb7b5f6e040c1facc09f9395a63840832de510a4d13a",
+}
+
+
+def test_cold_builds_match_recorded_digests(monkeypatch):
+    for (name, order), digest in COLD_BUILD_SHA256.items():
+        monkeypatch.setattr(modular, "_cache", {})
+        assert _sha256(named_series(name, order)) == digest, (name, order)
+    products = {"eta^24": ([(0, 1, 24)], 1), "eta^-6": ([(0, 1, -6)], F(-1, 4)),
+                "rogers-ramanujan": (ROGERS_RAMANUJAN_FACTORS, F(1, 5))}
+    for label, (factors, pre) in products.items():
+        assert _sha256(pochhammer_product(factors, pre, 808)) == POCHHAMMER_SHA256[label], label
 
 
 def test_ramification_divides_120():
