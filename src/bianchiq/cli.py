@@ -103,9 +103,7 @@ def _resolve_phi(args) -> complex:
             return theta.phi_numeric(tau)
         except ArithmeticError as exc:
             raise ValueError(f"tau = {args.tau}: {exc}") from None
-    if args.phi is not None:
-        return parse_complex(args.phi)
-    raise ValueError("one of --tau or --phi is required")
+    return parse_complex(args.phi)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,8 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("point", help="curve arithmetic over the complex numbers")
     p.add_argument("op", choices=("add", "double", "neg", "on-curve", "two-torsion", "five-torsion"))
     p.add_argument("points", nargs="*", help="points as JSON arrays of five [re, im] pairs")
-    p.add_argument("--tau", default=None, help="tau in the upper half-plane, e.g. 1.1i or 0.3+1.4i")
-    p.add_argument("--phi", default=None, help="curve parameter as a complex literal")
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--tau", default=None, help="tau in the upper half-plane, e.g. 1.1i or 0.3+1.4i")
+    where.add_argument("--phi", default=None, help="curve parameter as a complex literal")
 
     p = sub.add_parser("group", help="congruence-subgroup invariants")
     p.add_argument("name", nargs="?", default=None,

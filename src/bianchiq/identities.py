@@ -6,8 +6,10 @@ Three kinds of check:
   coefficient through the configured order.  No tolerance is consulted.
 * ``exact_poly``: an exact polynomial equality over Q.
 * ``numeric``: a theta-function identity sampled at seeded random points in
-  the configured tau box; passes iff the worst relative residual is below
-  the configured tolerance.
+  the configured tau box.  Its runner, ``runner(cfg, rng)``, is a generator
+  of relative residuals, one or more per sample.  ``run_identity`` alone
+  folds them into the worst, a NaN counting as the worst of all, and the
+  check passes iff that is below the configured tolerance.
 
 Checks are deterministic given a VerifyConfig: per-check random streams are
 derived from the seed and the check name, so results are independent of
@@ -25,7 +27,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 from . import curve, modular, theta
 from .curve import _worse
@@ -240,8 +242,7 @@ def _res_bring_kk(env):
     # the cubic field equation of the genus-4 group: Y^3 - Y^2 + X^5 Y + X^5
     # at X = phi, Y = g1.
     phi, g1 = env.get("phi"), env.get("g1")
-    t = phi ** 5
-    return [g1 ** 3 - g1 ** 2 + t * g1 + t]
+    return [curve.plane_model_residual("kk", (g1,), phi)]
 
 
 def _res_genus5_defeq(env):
@@ -389,23 +390,18 @@ def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def _four_product(tau, idx, args):
-    out = 1.0 + 0.0j
-    for k, a in zip(idx, args):
-        out *= theta.theta_k(k, a, tau)
-    return out
-
-
 def _primed(w, x, y, z):
     return ((w + x + y + z) / 2, (w + x - y - z) / 2, (w - x + y - z) / 2, (w - x - y + z) / 2)
 
 
 H = 0.5
 
-# The chain identities 2..10 as (lhs, rhs).  A side is (arguments,
-# products): the arguments name one of the tuples (v0, v1, v2, v3) built in
-# _chain_eq, and a product (sign, a, b) is the signed four-term product
-# theta_a(v0) theta_b(v1) theta_b(v2) theta_b(v3).
+# The four-term identities as (lhs, rhs).  A side is (arguments, products):
+# the arguments name one of the tuples (v0, v1, v2, v3) built in _four_term,
+# and a product (sign, a, b) is the signed four-term product
+# theta_a(v0) theta_b(v1) theta_b(v2) theta_b(v3).  Jacobi's A4 is the main
+# identity; CHAIN_FORMULAS are the chain identities 2..10.
+JACOBI_A4 = (("plain", ((1, 5 * H, 5 * H), (-1, 0, 0))), ("primed", ((1, 5 * H, 5 * H), (-1, 0, 0))))
 CHAIN_FORMULAS = {
     2: (("plain", ((-1, 3 * H, 5 * H), (1, 4, 0))), ("primed", ((1, 2, 2), (-1, 9 * H, 9 * H)))),
     3: (("plain", ((1, 3 * H, 3 * H), (-1, 4, 4))), ("primed", ((1, H, 5 * H), (-1, 3, 0)))),
@@ -423,14 +419,15 @@ def _chain_side(tau, side, args) -> complex:
     key, products = side
     total = 0
     for sign, a, b in products:
-        p = _four_product(tau, (a, b, b, b), args[key])
+        p = 1.0 + 0.0j
+        for k, v in zip((a, b, b, b), args[key]):
+            p *= theta.theta_k(k, v, tau)
         total += p if sign > 0 else -p
     return total
 
 
-def _chain_eq(number: int, cfg: VerifyConfig, rng) -> float:
-    lhs_side, rhs_side = CHAIN_FORMULAS[number]
-    worst = 0.0
+def _four_term(formula, cfg: VerifyConfig, rng):
+    lhs_side, rhs_side = formula
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         w, x, y, z = (cfg.random_z(rng) for _ in range(4))
@@ -439,8 +436,7 @@ def _chain_eq(number: int, cfg: VerifyConfig, rng) -> float:
         # 8; each keeps its own, since the order of the factors moves floats
         args = {"plain": (w, x, y, z), "primed": _primed(w, x, y, z), "sum": (s, x, y, z),
                 "pairs": (0, y + z, z + x, x + y), "pairs10": (0, x + y, y + z, z + x)}
-        worst = _worse(worst, _rel(_chain_side(tau, lhs_side, args), _chain_side(tau, rhs_side, args)))
-    return worst
+        yield _rel(_chain_side(tau, lhs_side, args), _chain_side(tau, rhs_side, args))
 
 
 # The 25 addition formulas:
@@ -476,17 +472,15 @@ ADDITION_FORMULAS = {
 }
 
 
-def _addition_eq(number: int, cfg: VerifyConfig, rng) -> float:
-    s, d, p, m = ADDITION_FORMULAS[number]
-    worst = 0.0
+def _addition_eq(formula, cfg: VerifyConfig, rng):
+    s, d, p, m = formula
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         x, y = cfg.random_z(rng), cfg.random_z(rng)
         t = lambda k, a: theta.theta_k(k, a, tau)
         lhs = t(3, 0) ** 2 * t(s, x + y) * t(d, x - y)
         rhs = t(p[0], x) * t(p[1], x) * t(p[2], y) ** 2 - t(m[0], x) ** 2 * t(m[1], y) * t(m[2], y)
-        worst = _worse(worst, _rel(lhs, rhs))
-    return worst
+        yield _rel(lhs, rhs)
 
 
 def duplication_uniform_sign(tau: complex = 1.3j, z: complex = 0.21 + 0.11j) -> int:
@@ -502,31 +496,17 @@ def duplication_uniform_sign(tau: complex = 1.3j, z: complex = 0.21 + 0.11j) -> 
     return 1 if abs(with2 - 1) < 0.5 else -1
 
 
-def _duplication_cubic(cfg: VerifyConfig, rng) -> float:
-    worst = 0.0
+def _duplication(family: str, last: int, cfg: VerifyConfig, rng):
+    # theta3(0)^2 theta_last(0) theta(2z) = family(theta(z)); the family is
+    # looked up at run time, so a replaced curve function is the one called
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         z = cfg.random_z(rng)
         x = theta.theta_vector(z, tau)
         x2 = theta.theta_vector(2 * z, tau)
-        n3 = theta.theta_k(3, 0.0, tau)
-        for k, rhs in enumerate(curve.double_cubic(x)):
-            worst = _worse(worst, _rel(n3 ** 3 * x2[k], rhs))
-    return worst
-
-
-def _duplication_mixed(cfg: VerifyConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        z = cfg.random_z(rng)
-        x = theta.theta_vector(z, tau)
-        x2 = theta.theta_vector(2 * z, tau)
-        n3 = theta.theta_k(3, 0.0, tau)
-        n1 = theta.theta_k(1, 0.0, tau)
-        for k, rhs in enumerate(curve.double(x)):
-            worst = _worse(worst, _rel(n3 ** 2 * n1 * x2[k], rhs))
-    return worst
+        pre = theta.theta_k(3, 0.0, tau) ** 2 * theta.theta_k(last, 0.0, tau)
+        for k, rhs in enumerate(getattr(curve, family)(x)):
+            yield _rel(pre * x2[k], rhs)
 
 
 def _transform_tables():
@@ -547,8 +527,7 @@ def _transform_tables():
 _SHIFT_TABLE, _PARITY_TABLE = _transform_tables()
 
 
-def _theta_transforms(cfg: VerifyConfig, rng) -> float:
-    worst = 0.0
+def _theta_transforms(cfg: VerifyConfig, rng):
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         z = cfg.random_z(rng)
@@ -561,71 +540,60 @@ def _theta_transforms(cfg: VerifyConfig, rng) -> float:
             for k, j, factor in _SHIFT_TABLE[name]:
                 lhs = theta.theta_k(k, zs, tau)
                 rhs = (shared if factor is None else factor) * at_z[j]
-                worst = _worse(worst, _rel(lhs, rhs))
+                yield _rel(lhs, rhs)
         mz = -z
         for k, j, sign in _PARITY_TABLE:
-            worst = _worse(worst, _rel(theta.theta_k(k, mz, tau), sign * at_z[j]))
-    return worst
+            yield _rel(theta.theta_k(k, mz, tau), sign * at_z[j])
 
 
-def _theta_nullwerte(cfg: VerifyConfig, rng) -> float:
-    worst = 0.0
+def _theta_nullwerte(cfg: VerifyConfig, rng):
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         n = theta.nullwerte(tau)
         scale = max(abs(v) for v in n)
-        for r in (abs(n[0]) / scale, abs(n[3] + n[2]) / scale, abs(n[4] + n[1]) / scale):
-            worst = _worse(worst, r)
-    return worst
+        yield from (abs(n[0]) / scale, abs(n[3] + n[2]) / scale, abs(n[4] + n[1]) / scale)
 
 
-def _bianchi_quadrics(cfg: VerifyConfig, rng) -> float:
-    worst = 0.0
+def _bianchi_quadrics(cfg: VerifyConfig, rng):
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         z = cfg.random_z(rng)
         phi = theta.phi_numeric(tau)
-        worst = _worse(worst, curve.max_quadric_residual(theta.theta_vector(z, tau), phi))
-    return worst
+        yield curve.max_quadric_residual(theta.theta_vector(z, tau), phi)
 
 
-def _addition_map(cfg: VerifyConfig, rng) -> float:
-    worst = 0.0
+def _addition_map(cfg: VerifyConfig, rng):
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         zx, zy = cfg.random_z(rng), cfg.random_z(rng)
         p = theta.theta_vector(zx, tau)
         q = theta.theta_vector(zy, tau)
         s = theta.theta_vector(zx + zy, tau)
-        worst = _worse(worst, curve.projective_distance(curve.add_a1(p, q), s))
-        worst = _worse(worst, curve.projective_distance(curve.add_a2(p, q), s))
-    return worst
+        yield curve.projective_distance(curve.add_a1(p, q), s)
+        yield curve.projective_distance(curve.add_a2(p, q), s)
 
 
-def _five_torsion(cfg: VerifyConfig, rng) -> float:
-    worst = 0.0
+def _five_torsion(cfg: VerifyConfig, rng):
     for _ in range(max(1, cfg.samples // 5)):
         tau = cfg.random_tau(rng)
         phi = theta.phi_numeric(tau)
         o = curve.neutral(phi)
         for p in curve.five_torsion_points(phi):
-            worst = _worse(worst, curve.max_quadric_residual(p, phi))
-            worst = _worse(worst, curve.projective_distance(curve.multiply(p, 5), o))
-    return worst
+            yield curve.max_quadric_residual(p, phi)
+            yield curve.projective_distance(curve.multiply(p, 5), o)
 
 
-def _weierstrass_map_check(cfg: VerifyConfig, rng) -> float:
-    worst = 0.0
+def _weierstrass_map_check(cfg: VerifyConfig, rng):
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         phi = theta.phi_numeric(tau)
         z = cfg.random_z(rng)
         p = theta.theta_vector(z, tau)
         x, ya, yb = curve.weierstrass_map(p, phi)
-        worst = _worse(worst, _rel(ya, yb))
+        yield _rel(ya, yb)
         res = curve.weierstrass_residual(x, ya, phi)
         scale = max(abs(ya) ** 2, abs(x) ** 3, 1e-300)
-        worst = _worse(worst, abs(res) / scale)
+        yield abs(res) / scale
     tau = 1.1j
     phi = theta.phi_numeric(tau)
     a = complex(curve.WEIERSTRASS_A(phi))
@@ -633,27 +601,15 @@ def _weierstrass_map_check(cfg: VerifyConfig, rng) -> float:
     for p in curve.two_torsion_points(phi):
         x, ya, yb = curve.weierstrass_map(p, phi)
         scale = max(abs(x) ** 3, abs(b), 1e-300)
-        for r in (abs(ya) / abs(x), abs(yb) / abs(x), abs(x ** 3 + a * x + b) / scale):
-            worst = _worse(worst, r)
-    return worst
-
-
-def _jacobi_a4(cfg: VerifyConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        args = tuple(cfg.random_z(rng) for _ in range(4))
-        p = _primed(*args)
-        lhs = _four_product(tau, [5 * H] * 4, args) - _four_product(tau, [0] * 4, args)
-        rhs = _four_product(tau, [5 * H] * 4, p) - _four_product(tau, [0] * 4, p)
-        worst = _worse(worst, _rel(lhs, rhs))
-    return worst
+        yield from (abs(ya) / abs(x), abs(yb) / abs(x), abs(x ** 3 + a * x + b) / scale)
 
 
 _NUMERIC = {
-    "jacobi-A4": (_jacobi_a4, "the four-term product main identity"),
-    "duplication-cubic": (_duplication_cubic, "duplication, cubic family (theta3(0)^3 prefactor)"),
-    "duplication-mixed": (_duplication_mixed, "duplication, mixed family (theta3(0)^2 theta1(0) prefactor)"),
+    "jacobi-A4": (partial(_four_term, JACOBI_A4), "the four-term product main identity"),
+    "duplication-cubic": (partial(_duplication, "double_cubic", 3),
+                          "duplication, cubic family (theta3(0)^3 prefactor)"),
+    "duplication-mixed": (partial(_duplication, "double", 1),
+                          "duplication, mixed family (theta3(0)^2 theta1(0) prefactor)"),
     "theta-transforms": (_theta_transforms, "the six quasi-periodicity rules and parity"),
     "theta-nullwerte": (_theta_nullwerte, "theta0(0)=0, theta3(0)=-theta2(0), theta4(0)=-theta1(0)"),
     "bianchi-quadrics-theta": (_bianchi_quadrics, "the five quadrics on theta coordinate vectors"),
@@ -661,6 +617,10 @@ _NUMERIC = {
     "five-torsion": (_five_torsion, "25 points of order 5: membership and additive order"),
     "weierstrass-map": (_weierstrass_map_check,
                         "X,Y map: Y_a=Y_b, the curve equation, and 2-torsion mapping to Y=0"),
+    **{f"chain-eq{i}": (partial(_four_term, f), f"derived four-term identity {i} of the shift chain")
+       for i, f in CHAIN_FORMULAS.items()},
+    **{f"addition-eq{i}": (partial(_addition_eq, f), f"coordinate addition formula {i}")
+       for i, f in ADDITION_FORMULAS.items()},
 }
 
 
@@ -684,12 +644,6 @@ def _build_registry() -> tuple[IdentityCheck, ...]:
         checks.append(IdentityCheck(name, "exact_poly", desc, fn))
     for name, (fn, desc) in _NUMERIC.items():
         checks.append(IdentityCheck(name, "numeric", desc, fn))
-    for i in sorted(CHAIN_FORMULAS):
-        checks.append(IdentityCheck(f"chain-eq{i}", "numeric",
-                                    f"derived four-term identity {i} of the shift chain", partial(_chain_eq, i)))
-    for i in sorted(ADDITION_FORMULAS):
-        checks.append(IdentityCheck(f"addition-eq{i}", "numeric",
-                                    f"coordinate addition formula {i}", partial(_addition_eq, i)))
     return tuple(sorted(checks, key=lambda c: c.name))
 
 
@@ -728,8 +682,8 @@ def run_identity(name: str, cfg: VerifyConfig | None = None, *, mutate: bool = F
         ok = check.runner(mutate)
         return CheckResult(name, check.kind, "pass" if ok else "fail",
                            first_failing_exponent=None if ok else "poly", order="exact")
-    rng = cfg.rng_for(name)
-    worst = check.runner(cfg, rng)
+    # the one fold of a numeric check's residuals, NaN counting as worst
+    worst = reduce(_worse, check.runner(cfg, cfg.rng_for(name)), 0.0)
     status = "pass" if worst < cfg.tol else "fail"
     return CheckResult(name, check.kind, status, worst_residual=worst, samples=cfg.samples)
 

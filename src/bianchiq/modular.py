@@ -87,17 +87,17 @@ def eta_quotient_series(spec, order) -> PuiseuxSeries:
     return pochhammer_product(factors, sum(Fraction(m * e, 24) for _, m, e in factors), order)
 
 
-def _sigma3(n: int) -> int:
-    return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
-
-
 def j_series(order) -> PuiseuxSeries:
     """Modular j as E4^3 / eta^24 with E4 = 1 + 240 sum sigma_3(n) q^n."""
     order = _checked("j", order)
     m = int(math.ceil(order)) + 3
-    e4 = PuiseuxSeries.from_terms(
-        {0: 1, **{n: 240 * _sigma3(n) for n in range(1, m)}}, m
-    )
+    # sigma_3 by a divisor sieve: d^3 goes to every multiple of d below m
+    sigma3 = [0] * m
+    for d in range(1, m):
+        cube = d ** 3
+        for n in range(d, m, d):
+            sigma3[n] += cube
+    e4 = PuiseuxSeries(1, 0, m, [1] + [240 * s for s in sigma3[1:]])
     eta24 = pochhammer_product([(0, 1, 24)], Fraction(1), m)
     return (e4 ** 3 / eta24).reduce_ram().truncate(order)
 

@@ -234,6 +234,12 @@ class TestPoint:
         rc, _, _ = run_cli(capsys, "point", "two-torsion")
         assert rc == 2
 
+    def test_tau_and_phi_together_exit_2(self, capsys):
+        # one of them would be dropped without a word
+        rc, out, err = run_cli(capsys, "point", "two-torsion", "--tau", "1.1i", "--phi", "0.3")
+        assert rc == 2 and out == ""
+        assert "not allowed with" in err
+
     def test_lower_half_plane_exits_2(self, capsys):
         rc, _, _ = run_cli(capsys, "point", "two-torsion", "--tau", "-1.1i")
         assert rc == 2

@@ -6,17 +6,20 @@ import importlib.util
 import json
 import math
 import pathlib
+from fractions import Fraction as F
 
 import pytest
 from conftest import reference_theta_k, reference_theta_transforms
 
 from bianchiq import theta
+from bianchiq.exact import PuiseuxSeries
 from bianchiq.identities import (
     CheckResult,
     IdentityCheck,
     Report,
     UnknownName,
     VerifyConfig,
+    _first_nonzero,
     check_names,
     get_check,
     registry,
@@ -93,6 +96,34 @@ class TestMutationSensitivity:
         cfg = VerifyConfig(series_order=12, samples=1)
         assert run_identity(name, cfg).status == "pass"
         assert run_identity(name, cfg, mutate=True).status == "fail"
+
+
+# sha256 of the 52 lines json.dumps(run_identity(name, cfg, mutate=m).to_json(),
+# sort_keys=True) over the 26 exact checks in registry order and m = False,
+# True, joined by newlines: every verdict, and the first failing exponent of
+# every mutant, at series orders 14 and 30
+EXACT_VERDICT_DIGESTS = {
+    14: "b5f2604be0cc8175ec1b1a695b9adf60568761149c768aad233680d2b87ec9af",
+    30: "5994bc8726ce0c8063cf948b3c67bd751a647f04b9d8be68dcf9ce35dba897db",
+}
+
+
+@pytest.mark.parametrize("order", sorted(EXACT_VERDICT_DIGESTS))
+def test_exact_verdicts_keep_their_digest(order):
+    cfg = VerifyConfig(series_order=order, samples=1)
+    lines = [json.dumps(run_identity(c.name, cfg, mutate=m).to_json(), sort_keys=True)
+             for c in registry() if c.kind != "numeric" for m in (False, True)]
+    assert len(lines) == 52
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_VERDICT_DIGESTS[order]
+
+
+def test_first_failing_exponent_is_the_least_over_residuals():
+    # no registered mutant leaves residuals that first fail at different
+    # exponents, so the digests above cannot tell the least from the largest
+    residuals = [PuiseuxSeries.monomial(F(39, 5), 20), PuiseuxSeries.zero(20), PuiseuxSeries.monomial(7, 20)]
+    assert _first_nonzero(residuals, F(14)) == 7
+    assert _first_nonzero(residuals[:2], F(14)) == F(39, 5)
+    assert _first_nonzero(residuals, F(6)) is None
 
 
 class TestDeterminism:
@@ -246,7 +277,15 @@ def test_numeric_residuals_keep_their_bits_at_200_samples(seed):
 class TestNaNResidual:
     """A NaN residual fails its check, wherever in the run it appears."""
 
-    @pytest.mark.parametrize("name", ["chain-eq2", "addition-eq11", "theta-transforms"])
+    # enough samples to make more than 26 theta calls: theta-nullwerte makes
+    # 5 a sample, the quadrics 7, weierstrass-map 7 and 2 more, and
+    # five-torsion 2 for each tau, which it draws once per 5 samples
+    SAMPLES = {"theta-nullwerte": 6, "bianchi-quadrics-theta": 4, "weierstrass-map": 4, "five-torsion": 70}
+
+    @pytest.mark.parametrize("name", ["chain-eq2", "addition-eq11", "theta-transforms", "jacobi-A4",
+                                      "duplication-cubic", "duplication-mixed", "theta-nullwerte",
+                                      "bianchi-quadrics-theta", "addition-map-A1A2", "five-torsion",
+                                      "weierstrass-map"])
     @pytest.mark.parametrize("nan_call", [0, 25])
     def test_one_nan_theta_value_fails(self, name, nan_call, monkeypatch):
         real = theta.theta_k
@@ -257,7 +296,7 @@ class TestNaNResidual:
             return complex("nan") if calls[0] == nan_call + 1 else real(k, z, tau)
 
         monkeypatch.setattr(theta, "theta_k", theta_k)
-        r = run_identity(name, VerifyConfig(samples=3, seed=7))
+        r = run_identity(name, VerifyConfig(samples=self.SAMPLES.get(name, 3), seed=7))
         assert calls[0] > nan_call + 1
         assert r.status == "fail" and math.isnan(r.worst_residual)
 
