@@ -46,30 +46,15 @@ def _default_order() -> int:
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi' literals: '1.1i', '0.3+1.4i', '-2', 'i', '0.5-i'.
 
-    Locale-independent ('.' decimal separator); the imaginary term, when
-    present, is the final summand and ends in 'i'.  A non-finite value
-    (nan, inf, or one that overflows binary64) is rejected."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
+    Whitespace is ignored, and a trailing 'i' marks the imaginary part;
+    the rest is Python's complex() syntax with '.' as the decimal
+    separator, less its 'j' suffix and its parentheses.  A non-finite
+    value (nan, inf, or one that overflows binary64) is rejected."""
+    s = "".join(text.split())
     try:
-        if not s.endswith("i"):
-            z = complex(float(s), 0.0)
-        else:
-            body = s[:-1]
-            split = None
-            for i in range(len(body) - 1, 0, -1):
-                if body[i] in "+-" and body[i - 1] not in "eE":
-                    split = i
-                    break
-            re_txt, im_txt = ("", body) if split is None else (body[:split], body[split:])
-            if im_txt in ("", "+"):
-                im_part = 1.0
-            elif im_txt == "-":
-                im_part = -1.0
-            else:
-                im_part = float(im_txt)
-            z = complex(float(re_txt) if re_txt else 0.0, im_part)
+        if any(ch in "jJ()" for ch in s):
+            raise ValueError("use 'i' for the imaginary unit, without parentheses")
+        z = complex(s[:-1] + "j" if s.endswith("i") else s)
     except ValueError as exc:
         raise ValueError(f"malformed complex literal {text!r}") from exc
     if not cmath.isfinite(z):
@@ -287,6 +272,12 @@ def _cmd_list(args) -> int:
 
 def main(argv=None) -> int:
     ap = _build_parser()
+    # argparse reads a separate value that starts with '-' (tau = -0.3+1.1i)
+    # as an option, so `--tau X` and `--phi X` are passed on as `--tau=X`
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--tau", "--phi"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -4,9 +4,13 @@ normality, quotient shapes, cusp and elliptic-point counts, and genus.
 Groups are described by a congruence predicate at a defining modulus M; the
 image in SL2(Z/N) (M | N) is the full preimage of the residue set, which by
 strong approximation equals the reduction of the corresponding subgroup of
-SL2(Z).  The genus computation works projectively: cosets of (+-1)H are
-permuted by S = (0,-1;1,0) and T = (1,1;0,1), elliptic points are fixed
-points of sigma_S and sigma_ST, cusps are cycles of sigma_T, and
+SL2(Z).  Every computation reads one table of right cosets (``_cosets``):
+an inclusion H <= K has the number of cosets of H in K as its index, is
+normal iff H·g·h = H·g for each representative g and each h in H, and has
+its quotient shape read off the representatives.  The genus computation
+works projectively: cosets of (+-1)H in SL2(Z/N) are permuted by
+S = (0,-1;1,0) and T = (1,1;0,1), elliptic points are fixed points of
+sigma_S and sigma_ST, cusps are cycles of sigma_T, and
 
     genus = 1 + mu/12 - eps2/4 - eps3/3 - cusps/2.
 """
@@ -206,66 +210,52 @@ def image_of(spec: SubgroupSpec, n: int) -> frozenset:
     return frozenset(g for g in enumerate_group(n) if spec.contains(g))
 
 
+def _cosets(sub, group, n: int) -> tuple[dict[Mat, int], list[Mat]]:
+    """The right cosets sub·g of a subgroup inside a group of matrices mod n:
+    the coset index of every element of ``group``, and the first element of
+    each coset, in the order of ``group``."""
+    coset_id: dict[Mat, int] = {}
+    reps: list[Mat] = []
+    for g in group:
+        if g in coset_id:
+            continue
+        i = len(reps)
+        reps.append(g)
+        for h in sub:
+            coset_id[mat_mul(h, g, n)] = i
+    return coset_id, reps
+
+
 def subgroup_report(inner: SubgroupSpec, outer: SubgroupSpec, n: int) -> dict:
     """Index, normality, and (for normal inclusions of index <= 6) the
-    quotient shape, all computed on images mod n.
+    quotient shape, all read from the right cosets of the inner image H in
+    the outer image K mod n.
 
-    The index equals the ratio of image orders, which is the true group
-    index whenever both groups contain Gamma(n)."""
+    The index is the number of cosets, which is the true group index
+    whenever both groups contain Gamma(n)."""
     hi = image_of(inner, n)
     ho = image_of(outer, n)
     if not hi <= ho:
         raise NotContained(f"{inner.name} is not contained in {outer.name} mod {n}")
-    index = len(ho) // len(hi)
-    normal = all(
-        mat_mul(mat_mul(g, h, n), _mat_inv(g, n), n) in hi for g in ho for h in hi
-    )
-    shape = None
-    if normal and index <= 6:
-        shape = _quotient_shape(hi, ho, n)
-    return {"inner": inner.name, "outer": outer.name, "index": index, "normal": normal,
+    coset_id, reps = _cosets(hi, sorted(ho), n)
+    normal = all(coset_id[mat_mul(g, h, n)] == i for i, g in enumerate(reps) for h in hi)
+    shape = _quotient_shape(coset_id, reps, n) if normal and len(reps) <= 6 else None
+    return {"inner": inner.name, "outer": outer.name, "index": len(reps), "normal": normal,
             "quotient_shape": shape}
 
 
-def _mat_inv(g: Mat, n: int) -> Mat:
-    a, b, c, d = g
-    return (d % n, (-b) % n, (-c) % n, a % n)
-
-
-def _quotient_shape(hi: frozenset, ho: frozenset, n: int) -> str:
-    reps = []
-    seen = set()
-    for g in sorted(ho):
-        coset = frozenset(mat_mul(h, g, n) for h in hi)
-        if coset not in seen:
-            seen.add(coset)
-            reps.append(g)
-    coset_key = {}
-    for i, r in enumerate(reps):
-        for h in hi:
-            coset_key[mat_mul(h, r, n)] = i
+def _quotient_shape(coset_id: dict[Mat, int], reps: list[Mat], n: int) -> str:
+    """K/H of order <= 6, for H normal: C2xC2 if every representative
+    squares into H, S3 if two do not commute modulo H, else cyclic."""
     size = len(reps)
-    table = [[coset_key[mat_mul(reps[i], reps[j], n)] for j in range(size)] for i in range(size)]
-    abelian = all(table[i][j] == table[j][i] for i in range(size) for j in range(size))
-    ident = coset_key[(1, 0, 0, 1)]
-
-    def elt_order(i: int) -> int:
-        k, acc = 1, i
-        while acc != ident:
-            acc = table[acc][i]
-            k += 1
-        return k
-
-    orders = sorted(elt_order(i) for i in range(size))
-    if size == 1:
-        return "C1"
-    if size in (2, 3, 5):
-        return f"C{size}"
     if size == 4:
-        return "C4" if 4 in orders else "C2xC2"
-    if size == 6:
-        return "C6" if abelian else "S3"
-    return f"order {size}, {'abelian' if abelian else 'nonabelian'}"
+        one = coset_id[(1 % n, 0, 0, 1 % n)]
+        if all(coset_id[mat_mul(g, g, n)] == one for g in reps):
+            return "C2xC2"
+    elif size == 6 and any(coset_id[mat_mul(g, h, n)] != coset_id[mat_mul(h, g, n)]
+                           for g in reps for h in reps):
+        return "S3"
+    return f"C{size}"
 
 
 class GenusData(namedtuple("GenusData", "mu eps2 eps3 cusps genus")):
@@ -283,19 +273,9 @@ def genus_data(spec: SubgroupSpec, n: int | None = None) -> GenusData:
     """
     if n is None:
         n = max(spec.modulus, 2)
-    g_all = enumerate_group(n)
     h = image_of(spec, n)
-    hbar = frozenset(h) | frozenset(mat_neg(g, n) for g in h)
-
-    coset_id: dict[Mat, int] = {}
-    reps: list[Mat] = []
-    for g in g_all:
-        if g in coset_id:
-            continue
-        i = len(reps)
-        reps.append(g)
-        for hh in hbar:
-            coset_id[mat_mul(hh, g, n)] = i
+    hbar = h | frozenset(mat_neg(g, n) for g in h)
+    coset_id, reps = _cosets(hbar, enumerate_group(n), n)
     mu = len(reps)
 
     def perm(m: Mat) -> list[int]:
@@ -339,23 +319,14 @@ def lattice(n: int = 10) -> dict:
     """Nodes with genus data and Hasse edges labeled by field-extension
     degree (the ratio of projective indices)."""
     specs = builtin_specs()
-    nodes = {}
-    images = {}
-    for name in LATTICE_NODES:
-        spec = specs[name]
-        nodes[name] = genus_data(spec, n)
-        images[name] = image_of(spec, n)
-    contains = {}
-    for a in LATTICE_NODES:
-        for b in LATTICE_NODES:
-            if a != b and images[b] < images[a]:
-                contains.setdefault(a, []).append(b)
+    nodes = {name: genus_data(specs[name], n) for name in LATTICE_NODES}
+    images = {name: image_of(specs[name], n) for name in LATTICE_NODES}
+    contains = {a: [b for b in LATTICE_NODES if images[b] < images[a]] for a in LATTICE_NODES}
     edges = []
     for a in LATTICE_NODES:
-        for b in contains.get(a, []):
+        for b in contains[a]:
             # Hasse condition: no c strictly between a and b
-            if any(c in contains.get(a, []) and b in contains.get(c, [])
-                   for c in LATTICE_NODES if c not in (a, b)):
+            if any(c in contains[a] and b in contains[c] for c in LATTICE_NODES if c not in (a, b)):
                 continue
             degree = nodes[b].mu // nodes[a].mu
             edges.append((a, b, degree))

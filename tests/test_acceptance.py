@@ -235,15 +235,21 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def test_criterion_11_exact_outputs_match_the_recorded_digests(capsys):
-    """The benchmark's known answers for the exact outputs, read from
-    perfbench/ (which this test does not change): the digest of each named
-    series an exact-deep pass builds, and of `expand` stdout for the heavy
-    name and for each light name at both ends of its order range."""
+def _recorded_answers():
+    """The benchmark's op catalog and its recorded digests, read from
+    perfbench/ (which these tests do not change)."""
     spec = importlib.util.spec_from_file_location("perfbench_ops_digests", PERFBENCH / "ops.py")
     ops = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ops)
-    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    return ops, json.loads((PERFBENCH / "expected.json").read_text())
+
+
+def test_criterion_11_exact_outputs_match_the_recorded_digests(capsys):
+    """The benchmark's known answers for the exact outputs: the digest of
+    each named series an exact-deep pass builds, and of `expand` stdout for
+    the heavy name and for each light name at both ends of its order
+    range."""
+    ops, expected = _recorded_answers()
     order = SeriesEnv(VerifyConfig(series_order=ops.EXACT_ORDER)).order
     for name in ops.BUILD_NAMES:
         got = _digest(json.dumps(modular.named_series(name, order).to_json(), sort_keys=True))
@@ -254,3 +260,16 @@ def test_criterion_11_exact_outputs_match_the_recorded_digests(capsys):
         assert _digest(capsys.readouterr().out) == expected["expand"][f"{name}@{o}"], (name, o)
     _report(11, f"{len(ops.BUILD_NAMES)} build digests at order {order} and "
                f"{len(draws)} expand digests match perfbench/expected.json")
+
+
+def test_criterion_11_group_outputs_match_the_recorded_digests(capsys):
+    """The benchmark's known answers for the congruence outputs: the digest
+    of `group NAME` stdout for each group the benchmark draws, of
+    `group --dot` and of `list`, read from perfbench/expected.json."""
+    ops, expected = _recorded_answers()
+    draws = [(["group", g], expected["group"][g]) for g in ops.GROUPS]
+    draws += [(["group", "--dot"], expected["dot"]), (["list"], expected["list"])]
+    for argv, want in draws:
+        assert cli_main(argv) == 0
+        assert _digest(capsys.readouterr().out) == want, argv
+    _report(11, f"{len(ops.GROUPS)} group digests, --dot and list match perfbench/expected.json")

@@ -25,14 +25,28 @@ class TestParseComplex:
             ("i", 1j),
             ("-i", -1j),
             ("1e-3i", 1e-3j),
+            ("-0-0i", complex(-0.0, -0.0)),
+            ("+i", 1j),
+            ("1e+5i", 1e5j),
+            ("5\ti", 5j),
         ],
     )
     def test_literals(self, text, value):
         assert parse_complex(text) == value
 
+    @pytest.mark.parametrize("text,shown", [("-0-0i", "(-0-0j)"), ("0-0i", "-0j"), ("-0+0i", "(-0+0j)")])
+    def test_signed_zero_parts(self, text, shown):
+        # == does not compare the signs of zeros; repr shows them
+        assert repr(parse_complex(text)) == shown
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_complex("zz")
+
+    @pytest.mark.parametrize("text", ["1+2j", "5J", "(1+2i)"])
+    def test_python_spellings_rejected(self, text):
+        with pytest.raises(ValueError, match="malformed"):
+            parse_complex(text)
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "infi", "nani", "1+nani", "nan+1i", "1e400", "1e400i"])
     def test_non_finite_rejected(self, text):
@@ -241,8 +255,15 @@ class TestPoint:
         assert "not allowed with" in err
 
     def test_lower_half_plane_exits_2(self, capsys):
-        rc, _, _ = run_cli(capsys, "point", "two-torsion", "--tau", "-1.1i")
-        assert rc == 2
+        rc, out, err = run_cli(capsys, "point", "two-torsion", "--tau", "-1.1i")
+        assert rc == 2 and out == ""
+        assert "upper half-plane" in err
+
+    @pytest.mark.parametrize("flag,value", [("--tau", "-0.3+1.1i"), ("--phi", "-1+0.5i")])
+    def test_value_with_leading_minus_in_either_spelling(self, capsys, flag, value):
+        rc, out, err = run_cli(capsys, "point", "two-torsion", flag, value)
+        assert rc == 0 and err == ""
+        assert run_cli(capsys, "point", "two-torsion", f"{flag}={value}") == (0, out, "")
 
     @pytest.mark.parametrize("argv", [
         ("two-torsion", "--phi", "nan"),

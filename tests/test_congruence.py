@@ -15,6 +15,7 @@ from bianchiq.congruence import (
     UnknownGroup,
     builtin_specs,
     enumerate_group,
+    gamma,
     genus_data,
     get_spec,
     image_of,
@@ -204,6 +205,48 @@ def test_g1_normal_s3_quotient():
 def test_gamma10_in_gamma5_s3():
     rep = subgroup_report(get_spec("Gamma(10)"), get_spec("Gamma(5)"), 10)
     assert rep["index"] == 6 and rep["normal"] and rep["quotient_shape"] == "S3"
+
+
+def _cyclic(name, g, n):
+    powers, x = [], tuple(v % n for v in (1, 0, 0, 1))
+    while x not in powers:
+        powers.append(x)
+        x = mat_mul(x, g, n)
+    return SubgroupSpec.from_residues(name, n, powers)
+
+
+# Quotients no built-in pair reaches: each outer group over the trivial
+# image of Gamma(n), so the quotient is the outer group itself.
+@pytest.mark.parametrize("outer,n,order,shape", [
+    (lambda: SubgroupSpec.from_residues("V4", 4, [(1, 0, 0, 1), (1, 2, 0, 1), (3, 0, 0, 3), (3, 2, 0, 3)]),
+     4, 4, "C2xC2"),
+    (lambda: _cyclic("<-T>", (2, 2, 0, 2), 3), 3, 6, "C6"),
+    (lambda: _cyclic("<S>", (0, 3, 1, 0), 4), 4, 4, "C4"),
+], ids=["V4", "-T", "S"])
+def test_quotient_shapes_beyond_the_catalog(outer, n, order, shape):
+    rep = subgroup_report(gamma(n), outer(), n)
+    assert (rep["index"], rep["normal"], rep["quotient_shape"]) == (order, True, shape)
+
+
+def test_normality_matches_brute_force_conjugation():
+    # H is normal in K iff g*h*g^-1 lies in H for every g in K and h in H;
+    # the report reads normality off its coset table instead
+    n = 10
+    specs = builtin_specs()
+    images = {name: image_of(spec, n) for name, spec in specs.items()}
+    brute = {}
+    checked = 0
+    for inner, hi in images.items():
+        for outer, ho in images.items():
+            if not hi <= ho:
+                continue
+            if (hi, ho) not in brute:
+                brute[hi, ho] = all(
+                    mat_mul(mat_mul(g, h, n), (g[3], -g[1] % n, -g[2] % n, g[0]), n) in hi
+                    for g in ho for h in hi)
+            assert subgroup_report(specs[inner], specs[outer], n)["normal"] == brute[hi, ho], (inner, outer)
+            checked += 1
+    assert checked == 138 and any(brute.values()) and not all(brute.values())
 
 
 def test_not_contained():
