@@ -9,7 +9,8 @@ Subcommands:
     list                    catalog of series, identities, and groups
 
 Exit codes: 0 success / all selected checks pass, 1 verification failure,
-2 usage error (unknown name, malformed input).
+2 usage error (unknown name, malformed input), 141 stdout closed by its
+reader before all output was written (128 + SIGPIPE, as a shell reports).
 
 Data goes to stdout, diagnostics (including timing) to stderr; `verify`
 output for a fixed seed is byte-identical across runs.  The environment
@@ -273,11 +274,13 @@ def _cmd_list(args) -> int:
 def main(argv=None) -> int:
     ap = _build_parser()
     # argparse reads a separate value that starts with '-' (tau = -0.3+1.1i)
-    # as an option, so `--tau X` and `--phi X` are passed on as `--tau=X`
+    # as an option, so `--tau X` and `--phi X`, or any abbreviation such as
+    # `--ta X`, are passed on as `--tau=X`
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--tau", "--phi"):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        flag = argv[i - 1]
+        if len(flag) > 2 and ("--tau".startswith(flag) or "--phi".startswith(flag)):
+            argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -301,7 +304,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`list | head -1`): the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

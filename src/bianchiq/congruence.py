@@ -273,7 +273,11 @@ def genus_data(spec: SubgroupSpec, n: int | None = None) -> GenusData:
     """
     if n is None:
         n = max(spec.modulus, 2)
-    h = image_of(spec, n)
+    return _genus_of(image_of(spec, n), n, spec.name)
+
+
+def _genus_of(h: frozenset, n: int, name: str) -> GenusData:
+    """genus_data of the image h of the group ``name`` in SL2(Z/n)."""
     hbar = h | frozenset(mat_neg(g, n) for g in h)
     coset_id, reps = _cosets(hbar, enumerate_group(n), n)
     mu = len(reps)
@@ -289,7 +293,7 @@ def genus_data(spec: SubgroupSpec, n: int | None = None) -> GenusData:
     cusps = _cycle_count(sigma_t)
     genus = Fraction(1) + Fraction(mu, 12) - Fraction(eps2, 4) - Fraction(eps3, 3) - Fraction(cusps, 2)
     if genus.denominator != 1 or genus < 0:
-        raise ArithmeticError(f"genus formula gave non-integral {genus} for {spec.name}")
+        raise ArithmeticError(f"genus formula gave non-integral {genus} for {name}")
     return GenusData(mu=mu, eps2=eps2, eps3=eps3, cusps=cusps, genus=int(genus))
 
 
@@ -319,8 +323,8 @@ def lattice(n: int = 10) -> dict:
     """Nodes with genus data and Hasse edges labeled by field-extension
     degree (the ratio of projective indices)."""
     specs = builtin_specs()
-    nodes = {name: genus_data(specs[name], n) for name in LATTICE_NODES}
     images = {name: image_of(specs[name], n) for name in LATTICE_NODES}
+    nodes = {name: _genus_of(images[name], n, name) for name in LATTICE_NODES}
     contains = {a: [b for b in LATTICE_NODES if images[b] < images[a]] for a in LATTICE_NODES}
     edges = []
     for a in LATTICE_NODES:

@@ -439,37 +439,19 @@ def _four_term(formula, cfg: VerifyConfig, rng):
         yield _rel(_chain_side(tau, lhs_side, args), _chain_side(tau, rhs_side, args))
 
 
-# The 25 addition formulas:
+# The 25 addition formulas
 # theta3(0)^2 theta_s(x+y) theta_d(x-y)
 #   = theta_{p0}(x) theta_{p1}(x) theta_{p2}(y)^2
 #   - theta_{m0}(x)^2 theta_{m1}(y) theta_{m2}(y)
-ADDITION_FORMULAS = {
-    11: (3, 3, (1, 0, 0), (3, 2, 3)),
-    12: (1, 3, (0, 4, 4), (2, 1, 2)),
-    13: (4, 3, (4, 3, 3), (1, 0, 1)),
-    14: (2, 3, (3, 2, 2), (0, 4, 0)),
-    15: (0, 3, (2, 1, 1), (4, 3, 4)),
-    16: (2, 2, (0, 4, 0), (2, 2, 3)),
-    17: (0, 2, (4, 3, 4), (1, 1, 2)),
-    18: (3, 2, (3, 2, 3), (0, 0, 1)),
-    19: (1, 2, (2, 1, 2), (4, 4, 0)),
-    20: (4, 2, (1, 0, 1), (3, 3, 4)),
-    21: (1, 1, (4, 3, 0), (1, 2, 3)),
-    22: (4, 1, (3, 2, 4), (0, 1, 2)),
-    23: (2, 1, (2, 1, 3), (4, 0, 1)),
-    24: (0, 1, (1, 0, 2), (3, 4, 0)),
-    25: (3, 1, (0, 4, 1), (2, 3, 4)),
-    26: (0, 0, (3, 2, 0), (0, 2, 3)),
-    27: (3, 0, (2, 1, 4), (4, 1, 2)),
-    28: (1, 0, (1, 0, 3), (3, 0, 1)),
-    29: (4, 0, (0, 4, 2), (2, 4, 0)),
-    30: (2, 0, (4, 3, 1), (1, 3, 4)),
-    31: (4, 4, (2, 1, 0), (4, 2, 3)),
-    32: (2, 4, (1, 0, 4), (3, 1, 2)),
-    33: (0, 4, (0, 4, 3), (2, 0, 1)),
-    34: (3, 4, (4, 3, 2), (1, 4, 0)),
-    35: (1, 4, (3, 2, 1), (0, 3, 4)),
-}
+# are one orbit (the Heisenberg action): z + tau/5 takes theta_k(z) to a
+# multiple of theta_{k-1}(z) (theta.shift_rules, "z+tau/5"), so formula
+# 11 + 5i + j is formula 11, (3, 3, (1, 0, 0), (3, 2, 3)), at
+# (x + (i+j) tau/5, y + j tau/5) up to one common factor: each index drops
+# by its argument's shift in tau/5: x+y by i+2j, x-y by i, x by i+j, y by j.
+ADDITION_FORMULAS = {11 + 5 * i + j: ((3 - i - 2 * j) % 5, (3 - i) % 5,
+                                      ((1 - i - j) % 5, (0 - i - j) % 5, (0 - j) % 5),
+                                      ((3 - i - j) % 5, (2 - j) % 5, (3 - j) % 5))
+                     for i in range(5) for j in range(5)}
 
 
 def _addition_eq(formula, cfg: VerifyConfig, rng):
@@ -669,7 +651,7 @@ def check_names() -> tuple[str, ...]:
 
 def run_identity(name: str, cfg: VerifyConfig | None = None, *, mutate: bool = False) -> CheckResult:
     """Run one named check; ``mutate`` perturbs the check's designated input
-    to demonstrate the check is not vacuous (exact kinds only)."""
+    to show the check is not vacuous (exact kinds; a numeric one raises)."""
     cfg = cfg or VerifyConfig()
     check = get_check(name)
     if check.kind == "exact_series":
@@ -682,6 +664,8 @@ def run_identity(name: str, cfg: VerifyConfig | None = None, *, mutate: bool = F
         ok = check.runner(mutate)
         return CheckResult(name, check.kind, "pass" if ok else "fail",
                            first_failing_exponent=None if ok else "poly", order="exact")
+    if mutate:
+        raise ValueError(f"{name}: numeric checks have no mutant")
     # the one fold of a numeric check's residuals, NaN counting as worst
     worst = reduce(_worse, check.runner(cfg, cfg.rng_for(name)), 0.0)
     status = "pass" if worst < cfg.tol else "fail"

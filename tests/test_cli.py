@@ -259,7 +259,8 @@ class TestPoint:
         assert rc == 2 and out == ""
         assert "upper half-plane" in err
 
-    @pytest.mark.parametrize("flag,value", [("--tau", "-0.3+1.1i"), ("--phi", "-1+0.5i")])
+    @pytest.mark.parametrize("flag,value", [("--tau", "-0.3+1.1i"), ("--ta", "-0.3+1.1i"),
+                                            ("--phi", "-1+0.5i"), ("--ph", "-1+0.5i")])
     def test_value_with_leading_minus_in_either_spelling(self, capsys, flag, value):
         rc, out, err = run_cli(capsys, "point", "two-torsion", flag, value)
         assert rc == 0 and err == ""
@@ -369,3 +370,16 @@ class TestSubprocess:
         r = subprocess.run([sys.executable, "-m", "bianchiq", "expand"],
                            capture_output=True)
         assert r.returncode == 2
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        import subprocess
+        import sys
+
+        # the reader goes away before the child has written anything
+        p = subprocess.Popen([sys.executable, "-m", "bianchiq", "list"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        p.stdout.close()
+        err = p.stderr.read()
+        p.stderr.close()
+        assert p.wait() == 141
+        assert b"Traceback" not in err

@@ -6,6 +6,8 @@ import importlib.util
 import json
 import math
 import pathlib
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +16,7 @@ from conftest import reference_theta_k, reference_theta_transforms
 from bianchiq import theta
 from bianchiq.exact import PuiseuxSeries
 from bianchiq.identities import (
+    ADDITION_FORMULAS,
     CheckResult,
     IdentityCheck,
     Report,
@@ -96,6 +99,12 @@ class TestMutationSensitivity:
         cfg = VerifyConfig(series_order=12, samples=1)
         assert run_identity(name, cfg).status == "pass"
         assert run_identity(name, cfg, mutate=True).status == "fail"
+
+    @pytest.mark.parametrize("name", [c.name for c in registry() if c.kind == "numeric"])
+    def test_numeric_mutation_raises(self, name):
+        # no numeric check has a mutant yet, so asking for one must not pass
+        with pytest.raises(ValueError, match=re.escape(name)):
+            run_identity(name, VerifyConfig(samples=1), mutate=True)
 
 
 # sha256 of the 52 lines json.dumps(run_identity(name, cfg, mutate=m).to_json(),
@@ -254,6 +263,32 @@ class TestBitIdentity:
         cfg = VerifyConfig(samples=5, seed=seed)
         got = run_identity("theta-transforms", cfg).worst_residual
         assert got.hex() == reference_theta_transforms(cfg, cfg.rng_for("theta-transforms")).hex()
+
+
+def _addition_terms(row, x, y, tau):
+    """The three terms of an addition formula row at (x, y)."""
+    s, d, p, m = row
+    t = lambda k, a: theta.theta_k(k, a, tau)
+    return (t(3, 0) ** 2 * t(s, x + y) * t(d, x - y), t(p[0], x) * t(p[1], x) * t(p[2], y) ** 2,
+            t(m[0], x) ** 2 * t(m[1], y) * t(m[2], y))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_addition_formulas_are_formula_11_at_translated_points(seed):
+    # formula 11 + 5i + j is formula 11 at (x + (i+j) tau/5, y + j tau/5):
+    # its three terms there are one common factor times those of row k at
+    # (x, y), whatever the table's derivation says
+    rng = random.Random(seed)
+    cfg = VerifyConfig()
+    tau = cfg.random_tau(rng)
+    x, y = cfg.random_z(rng), cfg.random_z(rng)
+    for i in range(5):
+        for j in range(5):
+            k = 11 + 5 * i + j
+            moved = _addition_terms(ADDITION_FORMULAS[11], x + (i + j) * tau / 5, y + j * tau / 5, tau)
+            ratios = [a / b for a, b in zip(moved, _addition_terms(ADDITION_FORMULAS[k], x, y, tau))]
+            spread = max(abs(r - ratios[0]) for r in ratios) / abs(ratios[0])
+            assert spread <= 1e-10, (k, spread)
 
 
 # sha256 of the 43 lines "name status worst_residual.hex()", joined by
