@@ -292,9 +292,10 @@ def two_torsion_points(phi):
     """The three 2-torsion points (phi^3 + phi^3/g : phi : g : g : phi)."""
     if _vanishes((phi,)) or _vanishes((curve_discriminant_value(phi),)):
         raise SingularCurve("discriminant zero test fired; 2-torsion is degenerate")
+    phi3 = phi ** 3
     pts = []
     for g in cubic_roots(phi):
-        x0 = phi ** 3 + phi ** 3 / g
+        x0 = phi3 + phi3 / g
         pts.append((x0, phi, g, g, phi))
     return tuple(pts)
 

@@ -24,13 +24,20 @@ numerators to every m-th slot; truncation and ``reduce_ram`` are slices.
   gcd of the relative indices of the nonzero numerators (5 for phi, 24 for
   eta), so the integer work is on the compressed series in q^(s/ram).
 * Integer series are multiplied by Kronecker substitution (Harvey, J.
-  Symbolic Comput. 44, 2009): each is packed into one Python int, slot k at
-  bit k*w with signed values, where w bits hold the bound
-  max|A| * max|B| * min(len A, len B), and max|A| and max|B| themselves (one
-  operand may be all zeros), plus a sign bit.  One bigint multiply
-  gives the product, which is read back slot by slot after a bias of
-  2^(w-1) per slot absorbs the borrows of negative slots.  Its denominator
-  is the product of the operands' denominators.
+  Symbolic Comput. 44, 2009).  Each is packed into one Python int, slot k
+  at bit 8*k*w.  The w bytes per slot hold the bound max|A| * max|B| *
+  min(len A, len B), and max|A| and max|B| themselves (one operand may be
+  all zeros), plus a sign bit.  One bigint multiply gives the product,
+  whose denominator is the product of the operands' denominators.  Slots
+  of up to 8 bytes are rounded up to a machine word of 1, 2, 4 or 8 bytes
+  and converted by ``array`` at C level; wider slots take one
+  ``int.to_bytes`` each.  Both write two's complement slots, and one bias
+  makes them signed: xor with 2^(8w-1) per slot turns a slot x into
+  x + 2^(8w-1) >= 0, and subtracting the sum of those biases leaves the
+  operand's value.  The product's low slots, biased the same way, are
+  unsigned, and xor returns them to two's complement.
+* Powers use left-to-right binary powering from the base itself, never a
+  product by the constant 1, so x^2, x^3 and x^5 cost 1, 2 and 3 products.
 * The inverse runs Newton's iteration w <- w - w*(u*w - 1) on that integer
   multiply, doubling the precision at each step (Brent and Kung, JACM 25,
   1978).  A leading numerator u0 other than 1 is handled on the same path:
@@ -48,6 +55,8 @@ numerators to every m-th slot; truncation and ``reduce_ram`` are slices.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from itertools import compress, count
 from operator import index, mul
@@ -342,15 +351,7 @@ class PuiseuxSeries:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = PuiseuxSeries.one(Fraction(self.trunc - self.lo, self.ram))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n) if n else PuiseuxSeries.one(Fraction(self.trunc - self.lo, self.ram))
 
     def subst_q_power(self, r) -> "PuiseuxSeries":
         """Substitute q -> q^r (r a positive rational): every exponent e
@@ -405,6 +406,18 @@ class PuiseuxSeries:
         return cls(int(obj["ram"]), int(obj["lo"]), int(obj["trunc"]), coeffs)
 
 
+def _power(x, n: int):
+    """x ** n for n >= 1 by left-to-right binary powering from x itself
+    (Knuth, TAOCP vol. 2, 4.6.3): a squaring per bit after the leading one,
+    and a product by x per set bit among them."""
+    result = x
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
+
+
 def _of(ram: int, lo: int, trunc: int, nums, den: int) -> PuiseuxSeries:
     """The series sum nums[i]/den q^((lo+i)/ram), i < trunc - lo, in
     canonical form: leading zeros trimmed, den > 0, gcd(den, *nums) == 1."""
@@ -413,11 +426,37 @@ def _of(ram: int, lo: int, trunc: int, nums, den: int) -> PuiseuxSeries:
     return s
 
 
-def _pack(xs, width: int) -> int:
-    """sum xs[k] * 2^(8*width*k) for signed xs with |xs[k]| < 2^(8*width-1)."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in xs)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in xs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+# signed array typecodes by item size: the narrow slot widths 1, 2, 4 and 8
+_WORD_CODE = {array(code).itemsize: code for code in "bhilq"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack_words(xs, width: int) -> int:
+    """The int whose width-byte slots hold xs in two's complement, slot k
+    at bit 8*width*k, for width in (1, 2, 4, 8)."""
+    words = array(_WORD_CODE[width], xs)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _unpack_words(raw: bytes, width: int) -> list:
+    """The two's complement width-byte slots of raw as ints, for width in
+    (1, 2, 4, 8)."""
+    words = array(_WORD_CODE[width], raw)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
+
+
+def _pack_bytes(xs, width: int) -> int:
+    """_pack_words for any width."""
+    return int.from_bytes(b"".join([x.to_bytes(width, "little", signed=True) for x in xs]), "little")
+
+
+def _unpack_bytes(raw: bytes, width: int) -> list:
+    """_unpack_words for any width."""
+    return [int.from_bytes(raw[k:k + width], "little", signed=True) for k in range(0, len(raw), width)]
 
 
 def _int_mul(a, b, m: int) -> list:
@@ -430,13 +469,21 @@ def _int_mul(a, b, m: int) -> list:
     bound = max(ma * mb * min(len(a), len(b)), ma, mb)
     # bytes per slot: room for the bound plus a sign bit
     width = (bound.bit_length() + 8) // 8
-    # a bias of 2^(w-1) per slot makes every slot non-negative, so the low
-    # m slots of the packed product are read back as plain unsigned slots
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((b"\x00" * (width - 1) + b"\x80") * m, "little")
-    packed = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * m)) - 1)
-    raw = packed.to_bytes(width * m, "little")
-    return [int.from_bytes(raw[k * width:(k + 1) * width], "little") - half for k in range(m)]
+    if width <= 8:
+        # one machine word per slot, converted at C level
+        width = 1 << (width - 1).bit_length()
+        pack, unpack = _pack_words, _unpack_words
+    else:
+        pack, unpack = _pack_bytes, _unpack_bytes
+    # xor with the top bit of each slot turns a two's complement slot x into
+    # x + 2^(8*width-1) >= 0, so one bias per operand gives its signed value
+    top = b"\x00" * (width - 1) + b"\x80"
+    bias_a, bias_b, bias_m = [int.from_bytes(top * n, "little") for n in (len(a), len(b), m)]
+    product = ((pack(a, width) ^ bias_a) - bias_a) * ((pack(b, width) ^ bias_b) - bias_b)
+    # biased, the low m slots of the product are unsigned; xor makes them
+    # two's complement again
+    low = ((product + bias_m) & ((1 << (8 * width * m)) - 1)) ^ bias_m
+    return unpack(low.to_bytes(width * m, "little"), width)
 
 
 def pochhammer_product(factors, prefactor_exp, order) -> PuiseuxSeries:
@@ -557,15 +604,7 @@ class QPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power requires a non-negative integer")
-        result = QPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n) if n else QPoly([1])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -279,10 +279,11 @@ def _res_j10_g1(env):
 
 def _res_hulek_craig(env):
     phi = env.get("phi")
+    phi3 = phi ** 3
     out = []
     for i in (1, 2, 3):
         g = env.get(f"g{i}")
-        x0 = phi ** 3 + phi ** 3 / g
+        x0 = phi3 + phi3 / g
         out.append(curve.plane_model_residual("hulek_craig", (x0, phi, g)))
     return out
 

@@ -14,9 +14,13 @@ characteristics exist, one per reduced index 0..4 and 1/2..9/2, so
 ``theta_k`` reads p = 1/2 - k/5 from a table built at import and calls
 ``reduce_index`` only for an index outside [0, 5).
 
-Summation uses a window centered on the largest term, sized so the first
-omitted term is below 1e-30 of the largest included one, and accumulates
-terms in descending magnitude (ties in ascending n).  Term n is
+Summation uses a window centered on the largest term, at n = center =
+-p - Im z/Im tau, sized so the first omitted term is below 1e-30 of the
+largest included one.  Terms are accumulated in ascending |m - center| with
+m = n + p (ties in ascending n).  That is |n + 2p + Im z/Im tau|, so the
+order is close to descending magnitude but not equal to it: at p = 0.3,
+z = 0, tau = i it runs n = -1, 0, -2, 1 while the magnitudes descend over
+n = 0, -1, 1, -2.  It is kept because the residuals are pinned.  Term n is
 exp(((pi*i*m)*m)*tau + ((2*pi*i)*m)*(z + c)) with m = n + p.  The two
 coefficients depend on (p, n) alone, so each of the ten characteristics
 keeps them in a table that fills as windows need it; any other p gets a
@@ -71,6 +75,7 @@ def theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0
     total = 0.0 + 0.0j
     zc = z + c
     exp = cmath.exp
+    # the key is |n + 2p + b/a|, not |n - center| (see the module docstring);
     # rows ascend in n, and sorted is stable: ties stay in ascending n
     for _, tau_coeff, z_coeff in sorted(rows[n_min - lo:n_max - lo + 1], key=lambda r: abs(r[0] - center)):
         total += exp(tau_coeff * tau + z_coeff * zc)

@@ -2,18 +2,22 @@
 q-Pochhammer builder, and exact polynomials."""
 
 import math
+import operator
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bianchiq import exact
 from bianchiq.exact import (
     OrderExceeded,
     PuiseuxSeries,
     QPoly,
     ZeroLeadingCoefficient,
+    _int_mul,
     _of,
     pochhammer_product,
 )
@@ -612,3 +616,124 @@ def test_reduce_ram():
     assert s.ram == 10
     r = s.reduce_ram()
     assert r.ram == 1 and r.coefficient(1) == 2 and r.coefficient(3) == -1
+
+
+# -- the Kronecker product at its slot-width boundaries ---------------------
+
+
+def schoolbook(a, b, m):
+    """The first m coefficients of the product of two integer lists."""
+    c = [0] * m
+    for i, x in enumerate(a[:m]):
+        for j, y in enumerate(b[: m - i]):
+            c[i + j] += x * y
+    return c
+
+
+def slot_width(a, b, m):
+    """The bytes per slot _int_mul needs, before rounding to a word."""
+    a, b = a[:m], b[:m]
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    return (max(ma * mb * min(len(a), len(b)), ma, mb).bit_length() + 8) // 8
+
+
+WIDTHS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
+
+
+def boundary_cases(w, rng):
+    """Operand pairs whose slots need exactly w bytes: numerators and
+    product slots at +-(2^(8w-1) - 1) with a one-slot factor, a random
+    pair just under the bound, an all-zero operand, and one-slot lists."""
+    top = (1 << (8 * w - 1)) - 1
+    edge = [rng.choice((top, -top, 1, -1, 0)) for _ in range(rng.randint(2, 12))]
+    edge[0] = rng.choice((top, -top))
+    signs = [rng.choice((1, -1, 0)) for _ in range(rng.randint(2, 12))]
+    signs[-1] = -1
+    n = rng.randint(2, 40)
+    x = math.isqrt(top // n)
+    near = [[x] + [rng.choice((x, -x, rng.randint(-x, x))) for _ in range(n - 1)] for _ in range(2)]
+    return [
+        ([1], edge),
+        (edge, [-1]),
+        ([-top], signs),
+        (signs, [top]),
+        near,
+        ([0] * n, edge),
+        (edge, [0, 0]),
+        ([top], [1]),
+        ([-top], [-1]),
+    ]
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_int_mul_matches_schoolbook_at_slot_widths(w):
+    rng = random.Random(w)
+    for a, b in boundary_cases(w, rng):
+        full = len(a) + len(b) - 1
+        assert slot_width(a, b, full) == w
+        for m in {1, max(len(a) - 1, 1), full, full + 3}:
+            assert _int_mul(a, b, m) == schoolbook(a, b, m), (a, b, m)
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_int_mul_one_past_a_slot_width(w):
+    # +-2^(8w-1) leave no room for the sign bit in w bytes
+    past = 1 << (8 * w - 1)
+    for a, b in (([1], [past, -past, 3]), ([-past], [1, 0, -1]), ([past], [past])):
+        assert slot_width(a, b, 3) > w
+        assert _int_mul(a, b, 3) == schoolbook(a, b, 3)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([3, -2 ** 40, 0, 7], [-1, 5, 2 ** 20]),
+    ([0, 0, 0], [0, 0]),
+    ([0], [2 ** 70, -(2 ** 70)]),
+])
+def test_int_mul_below_and_past_the_operands(a, b):
+    for m in range(1, len(a) + len(b) + 3):
+        assert _int_mul(a, b, m) == schoolbook(a, b, m)
+        assert _int_mul(b, a, m) == schoolbook(a, b, m)
+
+
+# -- powers -----------------------------------------------------------------
+
+
+# each built from phi at order 31: phi itself (stride 5), a mutant whose
+# q^7 term breaks the stride, a non-unit leading numerator, and a series
+# that is zero through its window
+POWER_BASES = {
+    "phi": lambda phi: phi,
+    "phi + 7q^7": lambda phi: phi + mono(7, phi.order, 7),
+    "leading 3": lambda phi: PuiseuxSeries.from_terms({F(1, 2): 3, 2: -1, F(7, 2): F(5, 4)}, 9),
+    "zero": lambda phi: PuiseuxSeries.zero(F(7, 3), ram=3),
+}
+
+
+@pytest.mark.parametrize("base", POWER_BASES)
+def test_power_equals_repeated_products(phi30, base):
+    s = POWER_BASES[base](phi30)
+    one = PuiseuxSeries.one(F(s.trunc - s.lo, s.ram))
+    for n in range(13):
+        fold = reduce(operator.mul, [s] * n, one)
+        p = s ** n
+        assert p == fold
+        assert (p.ram, p.lo, p.trunc) == (fold.ram, fold.lo, fold.trunc)
+
+
+def test_qpoly_power_equals_repeated_products():
+    p = QPoly([F(-1, 2), 0, 3, 1])
+    for n in range(9):
+        assert p ** n == reduce(operator.mul, [p] * n, QPoly([1]))
+
+
+@pytest.mark.parametrize("n, products", [(2, 1), (3, 2), (5, 3)])
+def test_power_products(phi30, monkeypatch, n, products):
+    calls = []
+
+    def counted(a, b, m):
+        calls.append(m)
+        return _int_mul(a, b, m)
+
+    monkeypatch.setattr(exact, "_int_mul", counted)
+    phi30 ** n
+    assert len(calls) == products
