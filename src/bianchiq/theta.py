@@ -21,13 +21,20 @@ m = n + p (ties in ascending n).  That is |n + 2p + Im z/Im tau|, so the
 order is close to descending magnitude but not equal to it: at p = 0.3,
 z = 0, tau = i it runs n = -1, 0, -2, 1 while the magnitudes descend over
 n = 0, -1, 1, -2.  It is kept because the residuals are pinned.  Term n is
-exp(((pi*i*m)*m)*tau + ((2*pi*i)*m)*(z + c)) with m = n + p.  The two
-coefficients depend on (p, n) alone, so each of the ten characteristics
-keeps them in a table that fills as windows need it; any other p gets a
-throwaway table.  The window, the summation order and the operand order
-of each exponent are the same as in the term-by-term sum: every value is
-reproducible to the bit, and the residuals the identity checks report
-depend on it.
+exp(((pi*i*m)*m)*tau + ((2*pi*i)*m)*(z + c)).
+
+The order is ascending |n - t| with t = center - p, and for n1 < n2 term
+n1 comes first exactly when t < (n1 + n2)/2.  Over a fixed window the
+order therefore depends only on floor(2t), so each window's coefficient
+pairs are built and sorted once and then looked up under
+(p, n_min, n_max, floor(2t)), for the ten characteristics and windows
+within +-_REACH.  When 2t lies within _TIE_MARGIN of an integer, two keys
+tie or nearly tie, and the stable sort's ascending-n rule or the keys'
+rounding (~1e-14) decides the order: such a call is sorted afresh, as is
+any other p or wider window, and none of them is cached.  The window, the
+summation order and the operand order of each exponent are those of the
+term-by-term sum: every value is reproducible to the bit, and the
+residuals the identity checks report depend on it.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 TRUNCATION_RATIO = 1e-30
 _WINDOW_LOG = -math.log(TRUNCATION_RATIO)
@@ -47,6 +55,10 @@ class DomainError(ValueError):
 
 class ConvergenceError(ArithmeticError):
     """The summation window would exceed the hard term-count cap."""
+
+
+class CancellationError(ArithmeticError):
+    """A theta sum cancelled past the digits its result has to carry."""
 
 
 def theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0.0) -> complex:
@@ -63,53 +75,61 @@ def theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0
     b = z.imag
     # |term(n)| = exp(-pi*a*u^2 + pi*b^2/a) with u = n + p + b/a
     center = -b / a - p
-    half = math.sqrt((_WINDOW_LOG + 8.0 + extra) / (math.pi * a)) + 1.0
-    n_min = math.floor(center - half)
-    n_max = math.ceil(center + half)
+    n_min, n_max = _window(center, a, extra)
     if n_max - n_min > _MAX_WINDOW:
         raise ConvergenceError(f"window of {n_max - n_min} terms exceeds cap; Im(tau) too small")
-    table = _COEFFICIENTS.get(p)
-    if table is None or n_min < table[0] or n_max > table[1]:
-        table = _coefficients(p, n_min, n_max)
-    lo, _, rows = table
+    twice = 2.0 * (center - p)
+    cell = math.floor(twice)
+    if _TIE_MARGIN < twice - cell < 1.0 - _TIE_MARGIN:
+        key = (p, n_min, n_max, cell)
+        terms = _ORDERS.get(key)
+        if terms is None:
+            terms = _sorted_terms(p, n_min, n_max, center)
+            if (p in _CHARACTERISTIC.values() and -_REACH <= n_min and n_max <= _REACH
+                    and len(_ORDERS) < _MAX_ORDERS):
+                _ORDERS[key] = terms
+    else:
+        terms = _sorted_terms(p, n_min, n_max, center)
     total = 0.0 + 0.0j
     zc = z + c
     exp = cmath.exp
-    # the key is |n + 2p + b/a|, not |n - center| (see the module docstring);
-    # rows ascend in n, and sorted is stable: ties stay in ascending n
-    for _, tau_coeff, z_coeff in sorted(rows[n_min - lo:n_max - lo + 1], key=lambda r: abs(r[0] - center)):
+    for tau_coeff, z_coeff in terms:
         total += exp(tau_coeff * tau + z_coeff * zc)
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise OverflowError("theta summation overflowed binary64")
     return total
 
 
+def _window(center: float, a: float, extra: float = 0.0) -> tuple[int, int]:
+    """The first and last n summed around ``center`` at Im(tau) = a."""
+    half = math.sqrt((_WINDOW_LOG + 8.0 + extra) / (math.pi * a)) + 1.0
+    return math.floor(center - half), math.ceil(center + half)
+
+
 _IPI = 1j * math.pi
 _TWO_IPI = 2 * _IPI
-# The farthest n a characteristic's table keeps; the numeric checks stay
-# within -6 <= n <= 6.
+# The farthest n a cached window reaches; the numeric checks stay within
+# -6 <= n <= 6.
 _REACH = 64
+# How close 2t may come to an integer before the order is sorted afresh.
+_TIE_MARGIN = 1e-9
+# The most windows kept: 1024 windows as wide as the reach allow take
+# ~16 MiB, and the numeric checks fill 211.
+_MAX_ORDERS = 1024
+# (p, n_min, n_max, floor(2t)) -> _sorted_terms of that window, for the
+# ten characteristics; see the module docstring.
+_ORDERS = {}
 
 
-def _coefficients(p: float, n_min: int, n_max: int) -> tuple:
-    """The exponent rows (m, ipi*m*m, 2*ipi*m), m = n + p, for n from lo to
-    hi, as (lo, hi, rows) with [n_min, n_max] inside [lo, hi].
-
-    One of the ten characteristics keeps its table, widened to the union
-    with the window while that stays within +-_REACH.  Any other p, or a
-    window beyond the reach, gets a throwaway table of the window alone."""
-    shared = _COEFFICIENTS.get(p)
-    keep = shared is not None and -_REACH <= n_min and n_max <= _REACH
-    if keep and shared[2]:
-        n_min, n_max = min(n_min, shared[0]), max(n_max, shared[1])
+def _sorted_terms(p: float, n_min: int, n_max: int, center: float) -> tuple:
+    """The (pi*i*m*m, 2*pi*i*m) pairs of the window [n_min, n_max], m = n + p,
+    in ascending |m - center|, ties in ascending n (the sort is stable)."""
     rows = []
     for n in range(n_min, n_max + 1):
         m = n + p
-        rows.append((m, _IPI * m * m, _TWO_IPI * m))
-    table = (n_min, n_max, rows)
-    if keep:
-        _COEFFICIENTS[p] = table
-    return table
+        rows.append((abs(m - center), _IPI * m * m, _TWO_IPI * m))
+    rows.sort(key=itemgetter(0))
+    return tuple((tau_coeff, z_coeff) for _, tau_coeff, z_coeff in rows)
 
 
 def reduce_index(k) -> Fraction:
@@ -125,9 +145,6 @@ def reduce_index(k) -> Fraction:
 # its entry too, since equal numbers hash equal.
 INDICES = tuple(range(5)) + tuple(k + 0.5 for k in range(5))
 _CHARACTERISTIC = {float(k): float(Fraction(1, 2) - Fraction(k) / 5) for k in INDICES}
-# The exponent table (lo, hi, rows) of each characteristic, empty until a
-# window needs it; see _coefficients.
-_COEFFICIENTS = {p: (0, -1, ()) for p in _CHARACTERISTIC.values()}
 
 
 def theta_k(k, z: complex, tau: complex) -> complex:
@@ -147,12 +164,34 @@ def nullwerte(tau: complex) -> tuple[complex, ...]:
     return theta_vector(0.0, tau)
 
 
+# The largest relative rounding error phi_numeric lets a nullwert carry.
+_PHI_MAX_ERROR = 1e-10
+
+
 def phi_numeric(tau: complex) -> complex:
-    """The degree-5 hauptmodul -theta_1(0)/theta_2(0) at tau."""
+    """The degree-5 hauptmodul -theta_1(0)/theta_2(0) at tau.
+
+    Every term of theta_k(0) has modulus at most exp(-5*pi*Im(tau)*d^2),
+    with d the distance of p from the integers, so the sum of its N terms
+    is off by about N * 2^-53 times that, relative to |theta_k(0)|.  Where
+    that bound exceeds _PHI_MAX_ERROR for theta_1 or theta_2 (Im(tau)
+    small, where the terms cancel), CancellationError is raised instead of
+    a quotient that has lost more than ten digits."""
     t1 = theta_k(1, 0.0, tau)
     t2 = theta_k(2, 0.0, tau)
     if abs(t2) < 1e-30:
         raise ZeroDivisionError("theta_2(0, tau) vanished; tau outside the usable region")
+    a = 5 * tau.imag
+    for k, value in ((1, t1), (2, t2)):
+        p = _CHARACTERISTIC[k]
+        n_min, n_max = _window(-p, a)
+        d = abs(p - round(p))
+        error = (n_max - n_min + 1) * 2.0**-53 * math.exp(-math.pi * a * d * d)
+        # a NaN nullwert compares false here and reaches the quotient
+        if error > _PHI_MAX_ERROR * abs(value):
+            raise CancellationError(
+                f"theta_{k}(0, tau) cancelled: predicted relative error {error / abs(value):.1e} "
+                f"exceeds {_PHI_MAX_ERROR:.0e}; Im(tau) too small")
     return -t1 / t2
 
 

@@ -7,9 +7,11 @@ the package kernel.
 ``reference_theta_k`` and ``reference_theta_char`` are the straightforward
 theta evaluator the package's fast path must reproduce bit for bit: the
 index reduced and p = 1/2 - k/5 computed on every call, every loop
-invariant recomputed per term, and the terms summed in the package's order,
-ascending |n + 2p + Im z/Im tau|, which is not quite descending magnitude
-(that would be ascending |n + p + Im z/Im tau|).
+invariant recomputed per term, and the window sorted on every call into the
+package's order, ascending |n + 2p + Im z/Im tau| with ties in ascending n,
+which is not quite descending magnitude (that would be ascending
+|n + p + Im z/Im tau|).  The package sorts a window once and looks its
+order up after; this one shares no cache with it.
 ``reference_theta_transforms`` is the ``theta-transforms`` check body with
 every theta value evaluated separately.
 """

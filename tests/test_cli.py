@@ -254,6 +254,24 @@ class TestPoint:
         assert rc == 2 and out == ""
         assert "not allowed with" in err
 
+    @pytest.mark.parametrize("tau", ["0.001i", "0.005i", "0.5+0.001i"])
+    def test_cancelled_nullwerte_exit_2(self, capsys, tau):
+        # the nullwert sums cancel: at 0.001i the quotient came out as
+        # 0.0566+0.0087i, where phi is real and near 1/golden = 0.618
+        rc, out, err = run_cli(capsys, "point", "two-torsion", "--tau", tau)
+        assert rc == 2 and out == ""
+        assert "cancelled" in err and "Im(tau) too small" in err
+
+    def test_small_im_tau_that_keeps_its_digits_passes(self, capsys):
+        # predicted errors 2e-13 and 5e-15: phi is printed, and at 0.03i it
+        # agrees with its limit 1/golden as tau -> 0 along the imaginary axis
+        rc, out, err = run_cli(capsys, "point", "two-torsion", "--tau", "0.03i")
+        assert rc == 0 and err == ""
+        re, im = json.loads(out)["phi"]
+        assert abs(complex(re, im) - (5 ** 0.5 - 1) / 2) < 1e-12
+        rc, out, err = run_cli(capsys, "point", "two-torsion", "--tau", "0.37+0.001i")
+        assert rc == 0 and err == ""
+
     def test_lower_half_plane_exits_2(self, capsys):
         rc, out, err = run_cli(capsys, "point", "two-torsion", "--tau", "-1.1i")
         assert rc == 2 and out == ""

@@ -9,10 +9,12 @@ from fractions import Fraction as F
 import pytest
 from conftest import reference_theta_char, reference_theta_k
 
+from bianchiq import identities, theta
 from bianchiq.theta import (
     _CHARACTERISTIC,
-    _COEFFICIENTS,
     _REACH,
+    _TIE_MARGIN,
+    CancellationError,
     ConvergenceError,
     DomainError,
     phi_numeric,
@@ -171,9 +173,10 @@ def outcome(fn, *args, **kwargs):
 
 
 class TestCoefficientTables:
-    """The per-characteristic exponent tables: every window, near n = 0 or
-    far from it, inside or beyond a table's reach, sums the same terms in
-    the same order as the term-by-term reference."""
+    """The cache of summation orders: every window, near n = 0 or far from
+    it, inside or beyond the cache's reach, at a tie or off it, cold or
+    warm, sums the same terms in the same order as the term-by-term
+    reference."""
 
     @staticmethod
     def far_points(seed, count):
@@ -194,8 +197,8 @@ class TestCoefficientTables:
                     outcome(reference_theta_char, p, c, z, tau, extra=extra), (p, z, tau, extra)
 
     def test_far_windows_at_the_ten_characteristics(self):
-        # the shared tables, grown in place and past their reach; both
-        # zeros find the table of p = 0 (k = 5/2)
+        # cached windows and windows past the reach; both zeros find the
+        # entries of p = 0 (k = 5/2)
         ps = sorted(set(_CHARACTERISTIC.values())) + [0.0, -0.0]
         for z, tau in self.far_points(43, 25):
             for p in ps:
@@ -211,22 +214,75 @@ class TestCoefficientTables:
                 values = {repr(theta_k(k, z, tau)) for k in spellings}
                 assert values == {repr(reference_theta_k(spellings[0], z, tau))}, (spellings, z, tau)
 
-    def test_foreign_characteristics_leave_no_state(self):
-        before = {p: table[:2] for p, table in _COEFFICIENTS.items()}
+    def test_foreign_characteristics_leave_no_state(self, monkeypatch):
+        monkeypatch.setattr(theta, "_ORDERS", {})
+        theta_char(0.3, 0.5, 0.3 + 0.1j, 1.1j)
+        before = dict(theta._ORDERS)
         rng = random.Random(3)
         for _ in range(200):
             theta_char(rng.uniform(-1, 1), 0.5, 0.3 + 0.1j, 1.1j)
-        assert {p: table[:2] for p, table in _COEFFICIENTS.items()} == before
+        assert len(before) == 1 and theta._ORDERS == before
 
-    def test_tables_stay_within_their_reach(self):
+    def test_tables_stay_within_their_reach(self, monkeypatch):
+        # whatever earlier tests cached: only the ten characteristics, and
+        # only windows inside the reach
+        for p, n_min, n_max, _ in theta._ORDERS:
+            assert p in _CHARACTERISTIC.values() and -_REACH <= n_min <= n_max <= _REACH
         # windows centred near n = -1000 and n = 1000, beyond the reach,
-        # are summed from throwaway tables (the largest terms are e^628
-        # and e^471)
+        # are summed but not cached (the largest terms are e^628 and e^471)
+        monkeypatch.setattr(theta, "_ORDERS", {})
         for z, tau in ((0.04j, 4e-5j), (0.1 - 0.03j, 3e-5j)):
             assert repr(theta_k(1, z, tau)) == repr(reference_theta_k(1, z, tau))
-        assert all(-_REACH <= lo and hi <= _REACH and len(rows) == hi - lo + 1
-                   for lo, hi, rows in _COEFFICIENTS.values())
-        assert len(_COEFFICIENTS) == 10
+        assert theta._ORDERS == {}
+
+    @staticmethod
+    def im_z_at(p, a, twice):
+        """Im z at which 2t = 2(center - p) = twice, center = -Im z/a - p,
+        rounded as theta_char rounds it: exactly, if some float gets there."""
+        b = -a * (twice / 2 + 2 * p)
+        for _ in range(8):
+            got = 2.0 * ((-b / a - p) - p)
+            if got == twice:
+                break
+            b = math.nextafter(b, math.inf if got > twice else -math.inf)
+        return b
+
+    def test_ties_agree_with_a_warm_cache(self, monkeypatch):
+        # 2t just off an integer j caches the order of the cell on that
+        # side; at 2t = j itself, or a few ulps off it, the order is the
+        # stable sort's and must not come from that entry
+        for p in _CHARACTERISTIC.values():
+            for a in (0.25, 1.0, 4.0, 9.0):
+                tau = complex(0.1, a)
+                for j in (round(-4 * p) + d for d in (-2, 0, 1, 3)):
+                    b = self.im_z_at(p, a, j)
+                    ties = [b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf),
+                            b + 1e-16 * a, b - 1e-16 * a]
+                    warm = [self.im_z_at(p, a, j + s * 3 * _TIE_MARGIN) for s in (1, -1)]
+                    for first, then in ((warm, ties), (ties, warm)):
+                        monkeypatch.setattr(theta, "_ORDERS", {})
+                        for im_z in first + then:
+                            z = complex(0.2, im_z)
+                            assert repr(theta_char(p, 2.5, z, tau)) == \
+                                repr(reference_theta_char(p, 2.5, z, tau)), (p, a, j, im_z)
+                        assert len(theta._ORDERS) == 2, (p, a, j)
+
+    def test_a_full_cache_takes_no_more_windows(self, monkeypatch):
+        monkeypatch.setattr(theta, "_ORDERS", {})
+        monkeypatch.setattr(theta, "_MAX_ORDERS", 3)
+        for z, tau in TestBitIdentity.points(8, 6):
+            assert repr(theta_k(2, z, tau)) == repr(reference_theta_k(2, z, tau))
+        assert len(theta._ORDERS) == 3
+
+    def test_the_numeric_checks_fill_211_entries(self, monkeypatch):
+        # the 43 numeric checks at the benchmark's 200 samples: a key that
+        # stopped hitting, or one that split windows finer, changes the count
+        monkeypatch.setattr(theta, "_ORDERS", {})
+        cfg = identities.VerifyConfig(samples=200, seed=1)
+        for check in identities.registry():
+            if check.kind == "numeric":
+                identities.run_identity(check.name, cfg)
+        assert len(theta._ORDERS) == 211
 
 
 class TestThetaVector:
@@ -273,6 +329,13 @@ class TestPhiNumeric:
         series = named_series("phi", 60)
         val = sum(complex(c) * q ** float(e) for e, c in series.terms())
         assert abs(phi_numeric(tau) - val) < 1e-12
+
+    def test_cancelled_nullwerte_raise(self):
+        # at 0.01i the quotient is off by 6.4e-9 against a 60-digit sum,
+        # and the bound predicts 6.6e-9; at 0.03i it predicts 2e-13
+        with pytest.raises(CancellationError, match="theta_1"):
+            phi_numeric(0.01j)
+        assert abs(phi_numeric(0.03j) - (5 ** 0.5 - 1) / 2) < 1e-12
 
     def test_abs_invariant_under_tau_plus_5(self):
         for tau in (1.2j, 0.3 + 0.9j):
