@@ -38,6 +38,15 @@ numerators to every m-th slot; truncation and ``reduce_ram`` are slices.
   unsigned, and xor returns them to two's complement.
 * Powers use left-to-right binary powering from the base itself, never a
   product by the constant 1, so x^2, x^3 and x^5 cost 1, 2 and 3 products.
+* Inside a ``product_memo`` scope, which ``identities.run_identity`` opens
+  around each exact-series check, a series product or inverse is looked up
+  by the operands' values, so a repeated one is made once; a*b and b*a
+  share an entry, and scalar products are not stored.  One scope holds at
+  most _MAX_MEMO_SLOTS numerators and makes, without storing, any product
+  past that.  Outside a scope nothing is stored.
+* Each series keeps its stride once computed.  A product that reads only a
+  prefix of an operand takes the prefix's own stride, which can be larger:
+  phi + 7q^7 has stride 1, but read below q^7 it has phi's stride 5.
 * The inverse runs Newton's iteration w <- w - w*(u*w - 1) on that integer
   multiply, doubling the precision at each step (Brent and Kung, JACM 25,
   1978).  A leading numerator u0 other than 1 is handled on the same path:
@@ -58,8 +67,8 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress, count
-from operator import index, mul
+from itertools import compress, count, repeat
+from operator import add, index, mul
 
 
 class ZeroLeadingCoefficient(ArithmeticError):
@@ -104,7 +113,8 @@ class PuiseuxSeries:
     The zero-through-window series is represented with lo == trunc.
     """
 
-    __slots__ = ("ram", "lo", "trunc", "den", "nums")
+    # _step: the stride of nums, set on first use (see _stride_below)
+    __slots__ = ("ram", "lo", "trunc", "den", "nums", "_step")
 
     def __init__(self, ram: int, lo: int, trunc: int, coeffs):
         if ram < 1:
@@ -119,7 +129,7 @@ class PuiseuxSeries:
         if k is None:
             lo, nums, den = trunc, (), 1
         else:
-            g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+            g = 1 if den == 1 else math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
             nums = tuple(x // g for x in nums[k:]) if g != 1 else tuple(nums[k:])
             lo, den = lo + k, den // g
         for name, value in (("ram", ram), ("lo", lo), ("trunc", trunc), ("den", den), ("nums", nums)):
@@ -127,6 +137,20 @@ class PuiseuxSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
+
+    def _stride_below(self, n: int) -> int:
+        """The stride of the first n numerators.  A whole read takes the
+        stride kept on first use; a prefix can have a larger one."""
+        if n < len(self.nums):
+            return _stride(self.nums[:n])
+        try:
+            return self._step
+        except AttributeError:
+            object.__setattr__(self, "_step", _stride(self.nums))
+            return self._step
+
+    def _key(self) -> tuple:
+        return self.ram, self.lo, self.trunc, self.den, self.nums
 
     # -- constructors -------------------------------------------------------
 
@@ -266,12 +290,15 @@ class PuiseuxSeries:
         lo = min(a.lo, b.lo, t)
         d = math.lcm(a.den, b.den)
         c = [0] * (t - lo)
-        for s in (a, b):
+        for k, s in enumerate((a, b)):
             # an operand starting at or past t has no slot in the window
             head = s.nums[: max(t - s.lo, 0)]
-            m = d // s.den
             i, j = s.lo - lo, s.lo - lo + len(head)
-            c[i:j] = [x + m * y for x, y in zip(c[i:j], head)]
+            m = d // s.den
+            if m != 1:
+                head = map(mul, head, repeat(m))
+            # the first operand lands on zeros
+            c[i:j] = map(add, c[i:j], head) if k else head
         return _of(a.ram, lo, t, c, d)
 
     __radd__ = __add__
@@ -291,17 +318,10 @@ class PuiseuxSeries:
             return _of(self.ram, self.lo, self.trunc, [x * p for x in self.nums], self.den * other.denominator)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        a, b = self._aligned(other)
-        t = min(a.trunc + b.lo, b.trunc + a.lo)
-        if a.is_zero() or b.is_zero():
-            return _of(a.ram, t, t, (), 1)
-        lo = a.lo + b.lo
-        n = t - lo
-        na, nb = a.nums[:n], b.nums[:n]
-        s = _stride(nb, _stride(na)) or n
-        c = [0] * n
-        c[::s] = _int_mul(na[::s], nb[::s], -(-n // s))
-        return _of(a.ram, lo, t, c, a.den * b.den)
+        if _memo is None:
+            return _product(self, other)
+        # a*b and b*a are the same series, so one entry serves both
+        return _memo.get_or_make(frozenset((self._key(), other._key())), _product, self, other)
 
     __rmul__ = __mul__
 
@@ -311,30 +331,9 @@ class PuiseuxSeries:
         Requires a nonzero leading coefficient; the result satisfies
         self * inverse == 1 through the provable window.
         """
-        if self.is_zero():
-            raise ZeroLeadingCoefficient("series is zero through its known window")
-        n = self.trunc - self.lo
-        u = self.nums
-        s = _stride(u) or n
-        u0 = u[0]
-        # V(x) = U(u0 x) / u0 on the compressed slots: integral, V0 = 1
-        v = [x * u0 ** (k * s - 1) if k else 1 for k, x in enumerate(u[::s])]
-        w = [1]
-        m = len(v)
-        while len(w) < m:
-            prec = len(w)
-            top = min(2 * prec, m)
-            err = _int_mul(v[:top], w, top)[prec:]
-            w += [-x for x in _int_mul(w, err, top - prec)]
-        # W_k * D / u0^(ks+1) over the common denominator u0^(last+1)
-        last = (m - 1) * s
-        step, scale = u0 ** s, self.den
-        for k in range(m - 1, -1, -1):
-            w[k] *= scale
-            scale *= step
-        c = [0] * n
-        c[::s] = w
-        return _of(self.ram, -self.lo, self.trunc - 2 * self.lo, c, u0 ** (last + 1))
+        if _memo is None:
+            return _inverse(self)
+        return _memo.get_or_make(self._key(), _inverse, self)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -404,6 +403,88 @@ class PuiseuxSeries:
     def from_json(cls, obj: dict) -> "PuiseuxSeries":
         coeffs = [Fraction(int(n), int(d)) for n, d in obj["coeffs"]]
         return cls(int(obj["ram"]), int(obj["lo"]), int(obj["trunc"]), coeffs)
+
+
+def _product(x: PuiseuxSeries, y: PuiseuxSeries) -> PuiseuxSeries:
+    """The series product x * y, on the integer kernel."""
+    a, b = x._aligned(y)
+    t = min(a.trunc + b.lo, b.trunc + a.lo)
+    if a.is_zero() or b.is_zero():
+        return _of(a.ram, t, t, (), 1)
+    lo = a.lo + b.lo
+    n = t - lo
+    na, nb = a.nums[:n], b.nums[:n]
+    s = math.gcd(a._stride_below(n), b._stride_below(n)) or n
+    c = [0] * n
+    c[::s] = _int_mul(na[::s], nb[::s], -(-n // s))
+    return _of(a.ram, lo, t, c, a.den * b.den)
+
+
+def _inverse(series: PuiseuxSeries) -> PuiseuxSeries:
+    """series.inverse(), by Newton iteration on the integer kernel."""
+    if series.is_zero():
+        raise ZeroLeadingCoefficient("series is zero through its known window")
+    n = series.trunc - series.lo
+    u = series.nums
+    s = series._stride_below(n) or n
+    u0 = u[0]
+    # V(x) = U(u0 x) / u0 on the compressed slots: integral, V0 = 1
+    v = [x * u0 ** (k * s - 1) if k else 1 for k, x in enumerate(u[::s])]
+    w = [1]
+    m = len(v)
+    while len(w) < m:
+        prec = len(w)
+        top = min(2 * prec, m)
+        err = _int_mul(v[:top], w, top)[prec:]
+        w += [-x for x in _int_mul(w, err, top - prec)]
+    # W_k * D / u0^(ks+1) over the common denominator u0^(last+1)
+    last = (m - 1) * s
+    step, scale = u0 ** s, series.den
+    for k in range(m - 1, -1, -1):
+        w[k] *= scale
+        scale *= step
+    c = [0] * n
+    c[::s] = w
+    return _of(series.ram, -series.lo, series.trunc - 2 * series.lo, c, u0 ** (last + 1))
+
+
+class product_memo(dict):
+    """The scope ``with product_memo() as memo:``, in which every series
+    product and inverse is looked up by the operands' values (ram, lo,
+    trunc, den, nums) and made once.  Series are immutable and canonical,
+    so equal keys mean equal results.  ``slots`` counts the numerators
+    held; past _MAX_MEMO_SLOTS results are made without being stored.
+    Scopes nest, and on exit the enclosing one is back."""
+
+    slots = hits = misses = 0
+
+    def __enter__(self):
+        global _memo
+        self.outer, _memo = _memo, self
+        return self
+
+    def __exit__(self, *exc_info):
+        global _memo
+        _memo = self.outer
+
+    def get_or_make(self, key, make, *args):
+        hit = self.get(key)
+        if hit is not None:
+            self.hits += 1
+            return hit
+        self.misses += 1
+        made = make(*args)
+        if self.slots + len(made.nums) <= _MAX_MEMO_SLOTS:
+            self[key] = made
+            self.slots += len(made.nums)
+        return made
+
+
+# The memo of the innermost open scope, or None.  The cap bounds what one
+# scope holds: the largest check at order 60 (hulek-craig-2tors) stores
+# 19,936 numerators.
+_memo = None
+_MAX_MEMO_SLOTS = 1 << 15
 
 
 def _power(x, n: int):
@@ -478,7 +559,9 @@ def _int_mul(a, b, m: int) -> list:
     # xor with the top bit of each slot turns a two's complement slot x into
     # x + 2^(8*width-1) >= 0, so one bias per operand gives its signed value
     top = b"\x00" * (width - 1) + b"\x80"
-    bias_a, bias_b, bias_m = [int.from_bytes(top * n, "little") for n in (len(a), len(b), m)]
+    bias_a = int.from_bytes(top * len(a), "little")
+    bias_b = bias_a if len(b) == len(a) else int.from_bytes(top * len(b), "little")
+    bias_m = bias_a if m == len(a) else bias_b if m == len(b) else int.from_bytes(top * m, "little")
     product = ((pack(a, width) ^ bias_a) - bias_a) * ((pack(b, width) ^ bias_b) - bias_b)
     # biased, the low m slots of the product are unsigned; xor makes them
     # two's complement again

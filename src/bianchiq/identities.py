@@ -31,7 +31,7 @@ from functools import partial, reduce
 
 from . import curve, modular, theta
 from .curve import _worse
-from .exact import PuiseuxSeries, QPoly
+from .exact import PuiseuxSeries, QPoly, product_memo
 
 _ORDER_SLACK = 8
 
@@ -657,7 +657,9 @@ def run_identity(name: str, cfg: VerifyConfig | None = None, *, mutate: bool = F
     check = get_check(name)
     if check.kind == "exact_series":
         env = SeriesEnv(cfg, mutate=check.mutation_target if mutate else None)
-        bad = _first_nonzero(check.runner(env), env.target)
+        # one memo per check: its runs repeat products, checks rarely share them
+        with product_memo():
+            bad = _first_nonzero(check.runner(env), env.target)
         if bad is None:
             return CheckResult(name, check.kind, "pass", order=str(env.target))
         return CheckResult(name, check.kind, "fail", first_failing_exponent=str(bad), order=str(env.target))

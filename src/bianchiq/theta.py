@@ -171,22 +171,28 @@ _PHI_MAX_ERROR = 1e-10
 def phi_numeric(tau: complex) -> complex:
     """The degree-5 hauptmodul -theta_1(0)/theta_2(0) at tau.
 
-    Every term of theta_k(0) has modulus at most exp(-5*pi*Im(tau)*d^2),
-    with d the distance of p from the integers, so the sum of its N terms
-    is off by about N * 2^-53 times that, relative to |theta_k(0)|.  Where
-    that bound exceeds _PHI_MAX_ERROR for theta_1 or theta_2 (Im(tau)
-    small, where the terms cancel), CancellationError is raised instead of
-    a quotient that has lost more than ten digits."""
+    With a = 5*Im(tau) and m = n + p, term n of theta_k(0) has modulus
+    exp(-pi*a*m^2), at most exp(-pi*a*d^2) for d the distance of p from
+    the integers, and phase pi*m^2*Re(5*tau) + 5*pi*m.  The sum of N terms
+    is off by about 2^-53 times N*exp(-pi*a*d^2) plus the sum of each
+    term's modulus times its phase, whose rounding it carries.  That sum is
+    bounded in closed form by the two Gaussian integrals, plus twice the
+    peak of each integrand.  Where the bound exceeds _PHI_MAX_ERROR
+    relative to |theta_k(0)| for theta_1 or theta_2 (Im(tau) small, where
+    the terms cancel), CancellationError is raised instead of a quotient
+    that has lost more than ten digits."""
     t1 = theta_k(1, 0.0, tau)
     t2 = theta_k(2, 0.0, tau)
     if abs(t2) < 1e-30:
         raise ZeroDivisionError("theta_2(0, tau) vanished; tau outside the usable region")
     a = 5 * tau.imag
+    phases = (abs(5 * tau.real) * (0.5 * a**-1.5 + 2 / (math.e * a))
+              + 5 / a + 10 * math.pi / math.sqrt(2 * math.pi * math.e * a))
     for k, value in ((1, t1), (2, t2)):
         p = _CHARACTERISTIC[k]
         n_min, n_max = _window(-p, a)
         d = abs(p - round(p))
-        error = (n_max - n_min + 1) * 2.0**-53 * math.exp(-math.pi * a * d * d)
+        error = ((n_max - n_min + 1) * math.exp(-math.pi * a * d * d) + phases) * 2.0**-53
         # a NaN nullwert compares false here and reaches the quotient
         if error > _PHI_MAX_ERROR * abs(value):
             raise CancellationError(

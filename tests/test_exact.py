@@ -737,3 +737,119 @@ def test_power_products(phi30, monkeypatch, n, products):
     monkeypatch.setattr(exact, "_int_mul", counted)
     phi30 ** n
     assert len(calls) == products
+
+
+# -- the add kernel at its edges, against a Fraction-level sum ---------------
+
+
+def summed_by_terms(a, b):
+    """a + b as from_terms of the summed {exponent: coefficient} terms."""
+    terms = dict(a.terms())
+    for e, c in b.terms():
+        terms[e] = terms.get(e, 0) + c
+    return PuiseuxSeries.from_terms(terms, min(a.order, b.order), ram=math.lcm(a.ram, b.ram))
+
+
+ADD_EDGES = {
+    # numerators rescaled by lcm(den) / den, m != 1 on both sides
+    "unequal den": (PuiseuxSeries.from_terms({0: F(1, 3), 1: F(5, 7), 3: F(-2, 9)}, 6),
+                    PuiseuxSeries.from_terms({0: F(2, 3), 2: F(1, 14)}, 5)),
+    # b starts at, or past, a's truncation: its head is empty
+    "starts at t": (PuiseuxSeries.from_terms({0: 1, 1: F(2, 5)}, 3),
+                    PuiseuxSeries.from_terms({3: F(7, 2), 4: 1}, 9)),
+    "starts past t": (PuiseuxSeries.from_terms({F(1, 2): 1, 2: -4}, F(5, 2)),
+                      PuiseuxSeries.from_terms({4: F(1, 3)}, 9)),
+    "negative lo": (PuiseuxSeries.from_terms({-3: F(1, 6), -1: 2, 2: 1}, 4),
+                    PuiseuxSeries.from_terms({-2: 5, -1: -2, 0: F(3, 4)}, 3)),
+    # ram 2 and ram 5 meet on ram 10
+    "unequal ram": (PuiseuxSeries.from_terms({F(-1, 2): F(1, 4), F(3, 2): 3}, F(7, 2)),
+                    PuiseuxSeries.from_terms({F(-2, 5): 1, F(6, 5): F(-9, 8)}, 4)),
+    "cancelling": (PuiseuxSeries.from_terms({F(1, 5): F(2, 3), 1: 1}, 2),
+                   PuiseuxSeries.from_terms({F(1, 5): F(-2, 3), F(8, 5): F(1, 2)}, 2)),
+}
+
+
+@pytest.mark.parametrize("edge", ADD_EDGES)
+def test_add_matches_the_fraction_sum(edge):
+    a, b = ADD_EDGES[edge]
+    for x, y in ((a, b), (b, a), (a, -b), (a * 3, b)):
+        got = x + y
+        assert window(got) == window(summed_by_terms(x, y))
+        assert_canonical(got)
+
+
+# -- strides: cached for a whole operand, computed afresh for a prefix -------
+
+
+def by_schoolbook(a, b):
+    """a * b for operands on one grid, from the schoolbook of the numerators."""
+    assert a.ram == b.ram
+    t = min(a.trunc + b.lo, b.trunc + a.lo)
+    lo = a.lo + b.lo
+    return _of(a.ram, lo, t, schoolbook(list(a.nums), list(b.nums), t - lo), a.den * b.den)
+
+
+def test_a_prefix_keeps_its_own_stride(phi30, monkeypatch):
+    # 7q^7 breaks phi's stride 5; read below q^7 the prefix still has it
+    x = phi30 + mono(7, phi30.order, 7)
+    short = PuiseuxSeries(5, 0, 30, [1] + [0] * 14 + [F(-2, 3)] + [0] * 14)  # 1 - 2/3 q^3, mod q^6
+    slots = []
+
+    def counted(a, b, m):
+        slots.append(m)
+        return _int_mul(a, b, m)
+
+    monkeypatch.setattr(exact, "_int_mul", counted)
+    for first, second in ((x, short), (x, x), (short, x), (x, short)):
+        assert first * second == by_schoolbook(first, second)
+    # x * short reads x below q^6: 30 slots at stride 5, both times
+    assert slots[0] == slots[3] == 6
+    assert slots[1] == len(x.nums)
+
+
+def test_a_cached_stride_serves_later_products(phi30):
+    x = phi30 * phi30
+    for y in (phi30, x, x + mono(F(3, 5), x.order), phi30.truncate(4)):
+        for _ in range(2):
+            assert x * y == by_schoolbook(x, y)
+            assert y * x == by_schoolbook(y, x)
+
+
+# -- the product memo -----------------------------------------------------
+
+
+def test_products_outside_a_scope_store_nothing(phi30):
+    assert exact._memo is None
+    with exact.product_memo() as memo:
+        phi30 * phi30
+    assert len(memo) == memo.misses == 1
+    phi30 * phi30, phi30.inverse(), phi30 ** 3
+    assert exact._memo is None and len(memo) == 1
+
+
+def test_the_memo_serves_both_orders_and_inverses(phi30):
+    g = phi30 + 1
+    with exact.product_memo() as memo:
+        product, inverse = phi30 * g, g.inverse()
+        # equal values, built afresh, find the same entries
+        assert g * (phi30 + 0) is product
+        assert (phi30 + 1).inverse() is inverse
+        assert phi30 * 3 == 3 * phi30  # scalar products are not stored
+        assert (memo.hits, memo.misses, len(memo)) == (2, 2, 2)
+        assert memo.slots == len(product.nums) + len(inverse.nums)
+        # a nested scope starts empty, and the outer one resumes after it
+        with exact.product_memo() as inner:
+            phi30 * g
+            assert (inner.hits, inner.misses) == (0, 1) and exact._memo is inner
+        assert exact._memo is memo and (memo.hits, memo.misses) == (2, 2)
+    assert exact._memo is None
+
+
+def test_a_full_memo_computes_without_storing(phi30, monkeypatch):
+    monkeypatch.setattr(exact, "_MAX_MEMO_SLOTS", 2 * len(phi30.nums))
+    with exact.product_memo() as memo:
+        powers = [phi30 ** n for n in range(2, 9)]
+        again = [phi30 ** n for n in range(2, 9)]
+    assert powers == again == [reduce(operator.mul, [phi30] * n) for n in range(2, 9)]
+    assert 0 < memo.slots <= 2 * len(phi30.nums)
+    assert memo.misses > len(memo)

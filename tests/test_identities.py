@@ -8,18 +8,20 @@ import math
 import pathlib
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 from conftest import reference_theta_k, reference_theta_transforms
 
-from bianchiq import theta
-from bianchiq.exact import PuiseuxSeries
+from bianchiq import exact, identities, modular, theta
+from bianchiq.exact import PuiseuxSeries, ZeroLeadingCoefficient
 from bianchiq.identities import (
     ADDITION_FORMULAS,
     CheckResult,
     IdentityCheck,
     Report,
+    SeriesEnv,
     UnknownName,
     VerifyConfig,
     _first_nonzero,
@@ -124,6 +126,88 @@ def test_exact_verdicts_keep_their_digest(order):
              for c in registry() if c.kind != "numeric" for m in (False, True)]
     assert len(lines) == 52
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_VERDICT_DIGESTS[order]
+
+
+# sha256 of the 62 lines json.dumps(r.to_json(), sort_keys=True), one per
+# residual r of the 24 exact-series checks in registry order, each run plain
+# and then mutated, joined by newlines: every coefficient at the benchmark's
+# series order 60
+EXACT_RESIDUALS_AT_60 = "691a3452c777e9b26571869819828e1cd37888d7f7da40c28e5dc7b87f3fbccd"
+
+
+def test_exact_residuals_keep_their_digest_at_order_60():
+    cfg = VerifyConfig(series_order=60, samples=1)
+    lines = [json.dumps(r.to_json(), sort_keys=True)
+             for c in registry() if c.kind == "exact_series" for m in (False, True)
+             for r in c.runner(SeriesEnv(cfg, mutate=c.mutation_target if m else None))]
+    assert len(lines) == 62
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_RESIDUALS_AT_60
+
+
+# -- the product memo of each exact-series check ---------------------------
+
+
+@pytest.fixture
+def memos(monkeypatch):
+    """The memo of every product_memo scope run_identity opens, in order."""
+    opened = []
+
+    @contextmanager
+    def recording():
+        with exact.product_memo() as memo:
+            opened.append(memo)
+            yield memo
+
+    monkeypatch.setattr(identities, "product_memo", recording)
+    return opened
+
+
+def test_no_memo_outlives_a_check(monkeypatch):
+    assert run_identity("sym-e1", VerifyConfig(series_order=14)).status == "pass"
+    assert exact._memo is None
+    broken = IdentityCheck("broken", "exact_series", "inverts a zero series",
+                           lambda env: [PuiseuxSeries.zero(5).inverse()], "phi")
+    monkeypatch.setattr(identities, "get_check", lambda name: broken)
+    with pytest.raises(ZeroLeadingCoefficient):
+        run_identity("broken")
+    assert exact._memo is None
+
+
+@pytest.mark.parametrize("name", [c.name for c in registry() if c.kind == "exact_series"])
+def test_a_mutant_after_its_plain_run_fails_where_it_fails_alone(name, monkeypatch):
+    cfg = VerifyConfig(series_order=14, samples=1)
+    monkeypatch.setattr(modular, "_cache", {})
+    alone = run_identity(name, cfg, mutate=True)
+    monkeypatch.setattr(modular, "_cache", {})
+    run_identity(name, cfg)
+    assert run_identity(name, cfg, mutate=True) == alone
+
+
+def test_a_small_memo_cap_changes_no_residual(memos, monkeypatch):
+    cfg = VerifyConfig(series_order=30, samples=1)
+    env = SeriesEnv(cfg)
+    names = ("bring2-subst", "hulek-craig-2tors", "defeq-gamma10")
+    plain = [[r.to_json() for r in get_check(n).runner(env)] for n in names]
+    monkeypatch.setattr(exact, "_MAX_MEMO_SLOTS", 400)
+    for name, residuals in zip(names, plain):
+        with exact.product_memo() as memo:
+            assert [r.to_json() for r in get_check(name).runner(env)] == residuals
+        assert 0 < memo.slots <= 400 and memo.misses > len(memo)
+        assert run_identity(name, cfg).status == "pass"
+    assert all(m.slots <= 400 for m in memos)
+
+
+@pytest.mark.parametrize("name, hits, misses", [
+    ("bring2-subst", 74, 44),
+    ("hulek-craig-2tors", 25, 49),
+])
+def test_memo_hits_at_the_benchmark_order(name, hits, misses, memos):
+    # a key that stopped hitting, or products that stopped repeating,
+    # change the counts; the first run warms the named-series cache
+    cfg = VerifyConfig(series_order=60, samples=1)
+    for mutate in (False, False, True):
+        run_identity(name, cfg, mutate=mutate)
+    assert [(m.hits, m.misses) for m in memos[1:]] == [(hits, misses)] * 2
 
 
 def test_first_failing_exponent_is_the_least_over_residuals():

@@ -332,10 +332,51 @@ class TestPhiNumeric:
 
     def test_cancelled_nullwerte_raise(self):
         # at 0.01i the quotient is off by 6.4e-9 against a 60-digit sum,
-        # and the bound predicts 6.6e-9; at 0.03i it predicts 2e-13
+        # and the bound predicts 2.5e-8; at 0.03i it predicts 5.6e-13
         with pytest.raises(CancellationError, match="theta_1"):
             phi_numeric(0.01j)
         assert abs(phi_numeric(0.03j) - (5 ** 0.5 - 1) / 2) < 1e-12
+
+    @staticmethod
+    def mpmath_phi(tau):
+        """-theta_1(0)/theta_2(0), summed term by term at 60 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            big_tau = 5 * mpmath.mpc(tau.real, tau.imag)
+            half = int(math.sqrt(90 / (5 * math.pi * tau.imag))) + 3
+            nullwerte = []
+            for k in (1, 2):
+                p = mpmath.mpf(1) / 2 - mpmath.mpf(k) / 5
+                nullwerte.append(mpmath.fsum(
+                    mpmath.exp(mpmath.pi * 1j * (n + p) ** 2 * big_tau + 5 * mpmath.pi * 1j * (n + p))
+                    for n in range(-half, half + 1)))
+            return complex(-nullwerte[0] / nullwerte[1])
+
+    @pytest.mark.parametrize("tau", [0.45 + 0.0004j, 0.37 + 0.001j, -0.26 + 0.0005j,
+                                     0.2 + 0.002j, 0.03j, 0.1 + 0.01j])
+    def test_bound_covers_the_error_against_mpmath(self, tau, monkeypatch):
+        # each term's phase pi m^2 Re(5 tau) + 5 pi m is rounded too: at
+        # 0.45+0.0004i the quotient is off by 1.2e-10, 8x what the sum's
+        # rounding alone predicts; a limit just under the true error must
+        # be crossed
+        exact = self.mpmath_phi(tau)
+        error = abs(-theta_k(1, 0.0, tau) / theta_k(2, 0.0, tau) - exact) / abs(exact)
+        monkeypatch.setattr(theta, "_PHI_MAX_ERROR", 0.99 * error)
+        with pytest.raises(CancellationError):
+            phi_numeric(tau)
+
+    def test_phase_rounding_past_the_limit_raises(self):
+        # off by 1.2e-10 against mpmath, past the 1e-10 limit
+        with pytest.raises(CancellationError, match="theta_"):
+            phi_numeric(0.45 + 0.0004j)
+        assert abs(phi_numeric(0.37 + 0.001j) - self.mpmath_phi(0.37 + 0.001j)) < 1e-12
+
+    def test_the_check_box_stays_quiet(self):
+        # the box the numeric checks and `point` draw tau from
+        rng = random.Random(19)
+        for _ in range(3000):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+            assert phi_numeric(tau) == -theta_k(1, 0.0, tau) / theta_k(2, 0.0, tau)
 
     def test_abs_invariant_under_tau_plus_5(self):
         for tau in (1.2j, 0.3 + 0.9j):
