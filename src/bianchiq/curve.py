@@ -14,6 +14,11 @@ Curve, for a parameter phi:
 with neutral element O = (0 : phi : -1 : 1 : -phi) and inversion
 (x0:x1:x2:x3:x4) -> (x0:x4:x3:x2:x1).
 
+The result is stated through two polynomials in t = phi^5, written once
+here for series, ``QPoly`` and complex arguments alike: ``cubic(xi, t)``,
+whose roots are g1, g2 and g3, and ``disc_factor(t)`` = W, the factor of
+the cubic's discriminant 4 phi^5 W.
+
 The Weierstrass map's Y-coordinate admits near-miss transcriptions (a
 dropped coefficient 11 in the numerator, a halved prefactor, a doubled
 x0-coefficient in one denominator) that still vanish on 2-torsion and so
@@ -52,7 +57,7 @@ class DegenerateResult(ArithmeticError):
 
 
 class SingularCurve(ValueError):
-    """The parameter sits on the discriminant locus phi^5(1-11phi^5-phi^10)=0."""
+    """The parameter sits on the discriminant locus phi^5 W(phi^5) = 0."""
 
 
 class DenominatorVanishes(ZeroDivisionError):
@@ -239,7 +244,7 @@ def normalize_numeric(P):
 # -- torsion ----------------------------------------------------------------
 
 def cubic_roots(phi):
-    """Roots of xi^3 - xi^2 + phi^5 xi + phi^5.
+    """Roots of cubic(xi, phi^5).
 
     Numeric domain: Cardano's formula, each root polished by Newton steps,
     sorted by (real, imag).  Series domain: the g_i expansions from the
@@ -282,15 +287,26 @@ def _newton_polish(x: complex, t: complex) -> complex:
     return x
 
 
+def cubic(xi, t):
+    """xi^3 - xi^2 + t xi + t; at t = phi^5 its roots are g1, g2 and g3."""
+    return xi ** 3 - xi ** 2 + t * xi + t
+
+
+def disc_factor(t):
+    """W = 1 - 11 t - t^2; at t = phi^5 the cubic's discriminant is 4 t W."""
+    return 1 - 11 * t - t * t
+
+
 def curve_discriminant_value(phi):
-    """4 phi^5 (1 - 11 phi^5 - phi^10): vanishes exactly on singular fibers."""
+    """4 phi^5 W(phi^5): vanishes exactly on singular fibers."""
     t = phi ** 5
-    return 4 * t * (1 - 11 * t - t * t)
+    return 4 * t * disc_factor(t)
 
 
 def two_torsion_points(phi):
     """The three 2-torsion points (phi^3 + phi^3/g : phi : g : g : phi)."""
-    if _vanishes((phi,)) or _vanishes((curve_discriminant_value(phi),)):
+    # the discriminant's factor phi^5 makes it vanish wherever phi does
+    if _vanishes((curve_discriminant_value(phi),)):
         raise SingularCurve("discriminant zero test fired; 2-torsion is degenerate")
     phi3 = phi ** 3
     pts = []
@@ -323,7 +339,7 @@ def plane_model_residual(model: str, coords, phi=None):
     quintic      (x0, x1, x2; phi)  degree-5 plane image of the curve
     hulek_craig  (x0, x1, x2)       2-torsion parameter curve, genus 4
     bring2       (x1, x2; phi)      the same curve with x0 eliminated
-    kk           (xi; phi)          the cubic xi^3 - xi^2 + phi^5 xi + phi^5
+    kk           (xi; phi)          the cubic at (xi, phi^5)
     weber        (x, y)             y^5 (x-1) - (x+1) x^2
     """
     if model == "quintic":
@@ -350,8 +366,7 @@ def plane_model_residual(model: str, coords, phi=None):
         return phi ** 4 * x1 ** 2 * x2 + phi ** 3 * x1 ** 3 + phi * x2 ** 3 - x1 * x2 ** 2
     if model == "kk":
         (xi,) = coords
-        t = phi ** 5
-        return xi ** 3 - xi ** 2 + t * xi + t
+        return cubic(xi, phi ** 5)
     if model == "weber":
         x, y = coords
         return y ** 5 * (x - 1) - (x + 1) * x ** 2

@@ -4,6 +4,9 @@ Three kinds of check:
 
 * ``exact_series``: a residual Puiseux series over Q must vanish in every
   coefficient through the configured order.  No tolerance is consulted.
+  Each is a row of ``_EXACT_SERIES``: its input series, a residual taking
+  them in order, the input its mutant perturbs, and a description.  The
+  Bianchi cubic and W come from ``curve.cubic`` and ``curve.disc_factor``.
 * ``exact_poly``: an exact polynomial equality over Q.
 * ``numeric``: a theta-function identity sampled at seeded random points in
   the configured tau box.  Its runner, ``runner(cfg, rng)``, is a generator
@@ -163,184 +166,109 @@ def _first_nonzero(residuals, through: Fraction):
     return worst
 
 
-# -- exact-series check bodies ------------------------------------------------
+# -- exact-series checks -----------------------------------------------------
 
 
-def _res_sym_e1(env):
-    return [env.get("g1") + env.get("g2") + env.get("g3") - 1]
+def _run_row(inputs, residual, env):
+    """The one fetch path of an exact-series check: the named inputs at the
+    working order, the mutated one perturbed, passed to the residual in order."""
+    return residual(*map(env.get, inputs))
 
 
-def _res_sym_e2(env):
-    g1, g2, g3 = env.get("g1"), env.get("g2"), env.get("g3")
-    return [g1 * g2 + g2 * g3 + g3 * g1 - env.get("phi5")]
+def _on_cubic(xi, t):
+    return [curve.cubic(xi, t)]
 
 
-def _res_sym_e3(env):
-    return [env.get("g1") * env.get("g2") * env.get("g3") + env.get("phi5")]
+def _g1g2_weierstrass(g1, g2):
+    # X = (2-s)/s, Y = d(2-s)/s^2 with s = g1+g2, d = g1-g2 satisfy
+    # Y^2 = X^3 + X^2 - X; cleared by s^4.
+    s = g1 + g2
+    d = g1 - g2
+    w = 2 - s
+    return [d ** 2 * w ** 2 - s * w ** 3 - s ** 2 * w ** 2 + s ** 3 * w]
 
 
-def _res_cubic_root(i):
-    def body(env):
-        g = env.get(f"g{i}")
-        t = env.get("phi5")
-        return [g ** 3 - g ** 2 + t * g + t]
-
-    return body
-
-
-def _res_delta_squared(env):
-    t = env.get("phi5")
-    return [env.get("delta") ** 2 - 4 * t * (1 - 11 * t - t ** 2)]
-
-
-def _res_g1_from_xy(env):
-    # g1 = (W - Y^2)/(W + Y^2), Y = delta/(2 g1), W = 1 - 11 phi^5 - phi^10;
-    # cleared of denominators by 4 g1^2.
-    g1, t, d = env.get("g1"), env.get("phi5"), env.get("delta")
-    w = 1 - 11 * t - t ** 2
-    return [4 * g1 ** 2 * w * (g1 - 1) + d ** 2 * (g1 + 1)]
-
-
-def _res_defeq_gamma10(env):
+def _defeq_gamma10(g1, t, d):
     # Y^2 (W - Y^2)^2 = X^5 W (W + Y^2)^2 at X = phi, Y = delta/(2 g1),
     # cleared by (4 g1^2)^3: u (W v - u)^2 - t W v (W v + u)^2 with
     # u = delta^2, v = 4 g1^2.
-    g1, t, d = env.get("g1"), env.get("phi5"), env.get("delta")
-    w = 1 - 11 * t - t ** 2
+    w = curve.disc_factor(t)
     u = d ** 2
     v = 4 * g1 ** 2
     return [u * (w * v - u) ** 2 - t * w * v * (w * v + u) ** 2]
 
 
-def _res_ramanujan(env):
-    ng, g1 = env.get("neg_g2_2tau"), env.get("g1")
-    return [ng * (1 + g1) - (1 - g1)]
-
-
-def _res_g1g2(env):
-    x, y = env.get("g1"), env.get("g2")
-    return [x ** 2 * y + x * y ** 2 + x ** 2 + y ** 2 - x - y]
-
-
-def _res_g1g2_weierstrass(env):
-    # X = (2-s)/s, Y = d(2-s)/s^2 with s = g1+g2, d = g1-g2 satisfy
-    # Y^2 = X^3 + X^2 - X; cleared by s^4.
-    s = env.get("g1") + env.get("g2")
-    d = env.get("g1") - env.get("g2")
-    w = 2 - s
-    return [d ** 2 * w ** 2 - s * w ** 3 - s ** 2 * w ** 2 + s ** 3 * w]
-
-
-def _res_g2_defeq(env):
-    # Y^2 = X^3 - 11 X^2 - X at X = -phi^5, Y = delta/2.
-    t, d = env.get("phi5"), env.get("delta")
-    x = -t
-    return [(d / 2) ** 2 - (x ** 3 - 11 * x ** 2 - x)]
-
-
-def _res_bring_kk(env):
-    # the cubic field equation of the genus-4 group: Y^3 - Y^2 + X^5 Y + X^5
-    # at X = phi, Y = g1.
-    phi, g1 = env.get("phi"), env.get("g1")
-    return [curve.plane_model_residual("kk", (g1,), phi)]
-
-
-def _res_genus5_defeq(env):
-    # Y^2 = X^5 (1 - 11 X^5 - X^10) at X = phi, Y = delta/2.
-    t, d = env.get("phi5"), env.get("delta")
-    return [(d / 2) ** 2 - t * (1 - 11 * t - t ** 2)]
-
-
-def _res_phi5_from_g1(env):
-    g1, t = env.get("g1"), env.get("phi5")
-    return [t * (1 + g1) - g1 ** 2 + g1 ** 3]
-
-
-def _res_j5_phi(env):
-    t = env.get("phi5")
-    return [env.get("j5") - (t.inverse() - 11 - t)]
-
-
-def _res_j5_j10(env):
-    j5, j10 = env.get("j5"), env.get("j10")
-    return [j5 * j10 ** 2 - (j10 + 1) * (j10 - 4) ** 2]
-
-
-def _res_j10_g2(env):
-    # j10 = g2(2 tau) - 1/g2(2 tau), cleared by g2(2 tau).
-    h = -env.get("neg_g2_2tau")
-    return [env.get("j10") * h - h ** 2 + 1]
-
-
-def _res_j10_g1(env):
-    g1 = env.get("g1")
-    return [env.get("j10") * (1 - g1 ** 2) - 4 * g1]
-
-
-def _res_hulek_craig(env):
-    phi = env.get("phi")
+def _hulek_craig(phi, g1, g2, g3):
     phi3 = phi ** 3
-    out = []
-    for i in (1, 2, 3):
-        g = env.get(f"g{i}")
-        x0 = phi3 + phi3 / g
-        out.append(curve.plane_model_residual("hulek_craig", (x0, phi, g)))
-    return out
+    return [curve.plane_model_residual("hulek_craig", (phi3 + phi3 / g, phi, g)) for g in (g1, g2, g3)]
 
 
-def _res_bring2_subst(env):
+def _bring2_subst(phi, g1, g2, g3):
     # the 2-torsion parameters satisfy the x0-eliminated model, and the
     # substitution xi = phi x2 / x1 carries it to the cubic at generic xi.
-    phi = env.get("phi")
-    out = [
-        curve.plane_model_residual("bring2", (phi, env.get(f"g{i}")), phi)
-        for i in (1, 2, 3)
-    ]
+    out = [curve.plane_model_residual("bring2", (phi, g), phi) for g in (g1, g2, g3)]
     t = phi ** 5
     for xi in (phi, 1 + phi, phi ** 2):
         lhs = phi ** 2 * curve.plane_model_residual("bring2", (phi ** 0, xi / phi), phi)
-        out.append(lhs - (xi ** 3 - xi ** 2 + t * xi + t))
+        out.append(lhs - curve.cubic(xi, t))
     return out
 
 
-def _res_weber(env):
-    return [curve.plane_model_residual("weber", (-env.get("g1"), -env.get("phi")))]
-
-
-def _res_j_cross(env):
-    # j * phi^5 (1 - 11 phi^5 - phi^10)^5 = P20(phi)^3, with j built
-    # independently from E4 and eta^24.
-    t = env.get("phi5")
-    p20 = t ** 4 - 228 * t ** 3 + 494 * t ** 2 + 228 * t + 1
-    disc = t * (1 - 11 * t - t ** 2) ** 5
-    return [env.get("j") * disc - p20 ** 3]
-
-
+# name: (inputs, residual, mutation target, description).  The inputs are
+# modular.NAMES; _run_row fetches them and the residual takes them in this
+# order and returns the series that must vanish.  W is curve.disc_factor.
 _EXACT_SERIES = {
-    "sym-e1": (_res_sym_e1, "g1", "elementary symmetric function e1 of the cubic roots is 1"),
-    "sym-e2": (_res_sym_e2, "g2", "e2 of the cubic roots is phi^5"),
-    "sym-e3": (_res_sym_e3, "g3", "e3 of the cubic roots is -phi^5"),
-    "cubic-root-g1": (_res_cubic_root(1), "g1", "g1 is a root of xi^3-xi^2+phi^5 xi+phi^5"),
-    "cubic-root-g2": (_res_cubic_root(2), "g2", "g2 is a root of the cubic"),
-    "cubic-root-g3": (_res_cubic_root(3), "g3", "g3 is a root of the cubic"),
-    "delta-squared": (_res_delta_squared, "delta", "delta^2 = 4 phi^5 (1-11 phi^5-phi^10)"),
-    "g1-from-XY": (_res_g1_from_xy, "g1", "g1 = (W-Y^2)/(W+Y^2) at X=phi, Y=delta/(2 g1)"),
-    "defeq-gamma10": (_res_defeq_gamma10, "delta", "the level-10 principal field equation in X=phi, Y=delta/(2 g1)"),
-    "ramanujan-relation": (_res_ramanujan, "neg_g2_2tau", "-g2(2 tau) = (1-g1)/(1+g1)"),
-    "g1g2-relation": (_res_g1g2, "g2", "X^2Y+XY^2+X^2+Y^2-X-Y = 0 at X=g1, Y=g2"),
-    "g1g2-weierstrass": (_res_g1g2_weierstrass, "g1", "the g1,g2 curve in Weierstrass form Y^2=X^3+X^2-X"),
-    "G2-defeq": (_res_g2_defeq, "delta", "Y^2=X^3-11X^2-X at X=-phi^5, Y=delta/2"),
-    "bring-kk": (_res_bring_kk, "phi", "cubic field equation at X=phi, Y=g1"),
-    "genus5-defeq": (_res_genus5_defeq, "delta", "Y^2=X^5(1-11X^5-X^10) at X=phi, Y=delta/2"),
-    "phi5-from-g1": (_res_phi5_from_g1, "g1", "phi^5 = (g1^2-g1^3)/(1+g1)"),
-    "j5-phi": (_res_j5_phi, "j5", "j5 = 1/phi^5 - 11 - phi^5"),
-    "j5-j10": (_res_j5_j10, "j10", "j5 j10^2 = (j10+1)(j10-4)^2"),
-    "j10-g2": (_res_j10_g2, "j10", "j10 = g2(2 tau) - 1/g2(2 tau)"),
-    "j10-g1": (_res_j10_g1, "g1", "j10 = 4 g1/(1-g1^2)"),
-    "hulek-craig-2tors": (_res_hulek_craig, "g1", "2-torsion parameters satisfy the genus-4 plane sextic"),
-    "bring2-subst": (_res_bring2_subst, "phi", "x0-eliminated model passes to the cubic under xi = phi x2/x1"),
-    "weber-model": (_res_weber, "g1", "y^5=(x+1)x^2(x-1)^(-1) at (x,y)=(-g1,-phi)"),
-    "j-cross-check": (_res_j_cross, "j", "j against P20^3 over the curve discriminant"),
+    "sym-e1": (("g1", "g2", "g3"), lambda g1, g2, g3: [g1 + g2 + g3 - 1], "g1",
+               "elementary symmetric function e1 of the cubic roots is 1"),
+    "sym-e2": (("g1", "g2", "g3", "phi5"), lambda g1, g2, g3, t: [g1 * g2 + g2 * g3 + g3 * g1 - t], "g2",
+               "e2 of the cubic roots is phi^5"),
+    "sym-e3": (("g1", "g2", "g3", "phi5"), lambda g1, g2, g3, t: [g1 * g2 * g3 + t], "g3",
+               "e3 of the cubic roots is -phi^5"),
+    "cubic-root-g1": (("g1", "phi5"), _on_cubic, "g1", "g1 is a root of xi^3-xi^2+phi^5 xi+phi^5"),
+    "cubic-root-g2": (("g2", "phi5"), _on_cubic, "g2", "g2 is a root of the cubic"),
+    "cubic-root-g3": (("g3", "phi5"), _on_cubic, "g3", "g3 is a root of the cubic"),
+    "delta-squared": (("delta", "phi5"), lambda d, t: [d ** 2 - 4 * t * curve.disc_factor(t)], "delta",
+                      "delta^2 = 4 phi^5 (1-11 phi^5-phi^10)"),
+    # g1 = (W - Y^2)/(W + Y^2) at Y = delta/(2 g1), cleared of denominators by 4 g1^2
+    "g1-from-XY": (("g1", "phi5", "delta"),
+                   lambda g1, t, d: [4 * g1 ** 2 * curve.disc_factor(t) * (g1 - 1) + d ** 2 * (g1 + 1)],
+                   "g1", "g1 = (W-Y^2)/(W+Y^2) at X=phi, Y=delta/(2 g1)"),
+    "defeq-gamma10": (("g1", "phi5", "delta"), _defeq_gamma10, "delta",
+                      "the level-10 principal field equation in X=phi, Y=delta/(2 g1)"),
+    "ramanujan-relation": (("neg_g2_2tau", "g1"), lambda ng, g1: [ng * (1 + g1) - (1 - g1)], "neg_g2_2tau",
+                           "-g2(2 tau) = (1-g1)/(1+g1)"),
+    "g1g2-relation": (("g1", "g2"), lambda x, y: [x ** 2 * y + x * y ** 2 + x ** 2 + y ** 2 - x - y], "g2",
+                      "X^2Y+XY^2+X^2+Y^2-X-Y = 0 at X=g1, Y=g2"),
+    "g1g2-weierstrass": (("g1", "g2"), _g1g2_weierstrass, "g1",
+                         "the g1,g2 curve in Weierstrass form Y^2=X^3+X^2-X"),
+    # Y^2 - (X^3 - 11 X^2 - X) at X = -phi^5, Y = delta/2
+    "G2-defeq": (("phi5", "delta"), lambda t, d: [(d / 2) ** 2 + t ** 3 + 11 * t ** 2 - t], "delta",
+                 "Y^2=X^3-11X^2-X at X=-phi^5, Y=delta/2"),
+    # the cubic field equation of the genus-4 group, the cubic at (Y, X^5) = (g1, phi^5)
+    "bring-kk": (("phi", "g1"), lambda phi, g1: [curve.plane_model_residual("kk", (g1,), phi)], "phi",
+                 "cubic field equation at X=phi, Y=g1"),
+    "genus5-defeq": (("phi5", "delta"), lambda t, d: [(d / 2) ** 2 - t * curve.disc_factor(t)], "delta",
+                     "Y^2=X^5(1-11X^5-X^10) at X=phi, Y=delta/2"),
+    # cleared of its denominator 1 + g1, this is the cubic at g1: cubic-root-g1's residual
+    "phi5-from-g1": (("g1", "phi5"), _on_cubic, "g1", "phi^5 = (g1^2-g1^3)/(1+g1)"),
+    "j5-phi": (("j5", "phi5"), lambda j5, t: [j5 - (t.inverse() - 11 - t)], "j5", "j5 = 1/phi^5 - 11 - phi^5"),
+    "j5-j10": (("j5", "j10"), lambda j5, j10: [j5 * j10 ** 2 - (j10 + 1) * (j10 - 4) ** 2], "j10",
+               "j5 j10^2 = (j10+1)(j10-4)^2"),
+    # j10 = h - 1/h at h = g2(2 tau) = -neg_g2_2tau, cleared by h
+    "j10-g2": (("j10", "neg_g2_2tau"), lambda j10, ng: [1 - j10 * ng - ng ** 2], "j10",
+               "j10 = g2(2 tau) - 1/g2(2 tau)"),
+    "j10-g1": (("j10", "g1"), lambda j10, g1: [j10 * (1 - g1 ** 2) - 4 * g1], "g1", "j10 = 4 g1/(1-g1^2)"),
+    "hulek-craig-2tors": (("phi", "g1", "g2", "g3"), _hulek_craig, "g1",
+                          "2-torsion parameters satisfy the genus-4 plane sextic"),
+    "bring2-subst": (("phi", "g1", "g2", "g3"), _bring2_subst, "phi",
+                     "x0-eliminated model passes to the cubic under xi = phi x2/x1"),
+    "weber-model": (("g1", "phi"), lambda g1, phi: [curve.plane_model_residual("weber", (-g1, -phi))], "g1",
+                    "y^5=(x+1)x^2(x-1)^(-1) at (x,y)=(-g1,-phi)"),
+    # j phi^5 W^5 = P20^3, with j built independently from E4 and eta^24
+    "j-cross-check": (("j", "phi5"),
+                      lambda j, t: [j * (t * curve.disc_factor(t) ** 5)
+                                    - (t ** 4 - 228 * t ** 3 + 494 * t ** 2 + 228 * t + 1) ** 3],
+                      "j", "j against P20^3 over the curve discriminant"),
 }
 
 
@@ -348,11 +276,14 @@ _EXACT_SERIES = {
 
 
 def _poly_weier_disc(mutate: bool = False):
-    # the mutant is the near-miss sign variant phi^10 - 11 phi^5 + 1 of the
-    # inner factor, which agrees with 1 - 11 phi^5 - phi^10 at phi^5 = 0
-    inner = QPoly.from_terms({0: 1, 5: -11, 10: 1 if mutate else -1})
+    # the mutant is the near-miss sign variant W + 2 phi^10 = 1 - 11 phi^5 +
+    # phi^10 of the inner factor, which agrees with W at phi^5 = 0
+    t = QPoly.from_terms({5: 1})
+    inner = curve.disc_factor(t)
+    if mutate:
+        inner = inner + 2 * t * t
     lhs = (curve.P20 ** 3 - curve.P30 ** 2) / 1728
-    return lhs == QPoly.from_terms({5: 1}) * inner ** 5
+    return lhs == t * inner ** 5
 
 
 def _poly_cubic_disc(mutate: bool = False):
@@ -362,7 +293,7 @@ def _poly_cubic_disc(mutate: bool = False):
     a = QPoly.from_terms({0: -1})
     b = c = t
     disc = 18 * a * b * c - 4 * a ** 3 * c + a ** 2 * b ** 2 - 4 * b ** 3 - 27 * c ** 2
-    closed = 4 * t * (1 - 11 * t - t ** 2)
+    closed = 4 * t * curve.disc_factor(t)
     if mutate:
         closed = closed + QPoly.from_terms({10: 1})
     f1 = QPoly([-1, 1, 1])      # phi^2 + phi - 1
@@ -621,8 +552,8 @@ class IdentityCheck(namedtuple("IdentityCheck", "name kind description runner mu
 
 def _build_registry() -> tuple[IdentityCheck, ...]:
     checks = []
-    for name, (body, target, desc) in _EXACT_SERIES.items():
-        checks.append(IdentityCheck(name, "exact_series", desc, body, target))
+    for name, (inputs, residual, target, desc) in _EXACT_SERIES.items():
+        checks.append(IdentityCheck(name, "exact_series", desc, partial(_run_row, inputs, residual), target))
     for name, (fn, desc) in _EXACT_POLY.items():
         checks.append(IdentityCheck(name, "exact_poly", desc, fn))
     for name, (fn, desc) in _NUMERIC.items():

@@ -14,6 +14,7 @@ is built once per order rise, not once per dependent.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .exact import PuiseuxSeries, pochhammer_product
@@ -32,10 +33,13 @@ class UnknownName(KeyError):
 
 def _checked(name: str, order) -> Fraction:
     """order as a Fraction, raising ValueError if it is at or below the
-    leading exponent of the named series (no coefficient is then known)."""
+    leading exponent of the named series (no coefficient is then known) or
+    at or past sys.maxsize (no list of its coefficients can be sized)."""
     order = Fraction(order)
     if order <= LEADING[name]:
         raise ValueError(f"order must exceed {LEADING[name]}, the leading exponent of {name}")
+    if order >= sys.maxsize:
+        raise ValueError(f"order of {name} must be below {sys.maxsize}, the largest list size")
     return order
 
 

@@ -180,7 +180,13 @@ def phi_numeric(tau: complex) -> complex:
     peak of each integrand.  Where the bound exceeds _PHI_MAX_ERROR
     relative to |theta_k(0)| for theta_1 or theta_2 (Im(tau) small, where
     the terms cancel), CancellationError is raised instead of a quotient
-    that has lost more than ten digits."""
+    that has lost more than ten digits.
+
+    tau -> tau + 5 multiplies theta_1(0) and theta_2(0) by the same
+    e^(pi*i/4), since 25*m^2 = (odd)^2/4, so phi has period 5.  Re(tau) is
+    first reduced exactly into [-5/2, 5/2], where the phases stay small; a
+    tau already there is summed as given, to the bit."""
+    tau = complex(math.remainder(tau.real, 5.0), tau.imag)
     t1 = theta_k(1, 0.0, tau)
     t2 = theta_k(2, 0.0, tau)
     if abs(t2) < 1e-30:

@@ -8,9 +8,12 @@ assert that the near-miss variants fail; see the notes in bianchiq.curve.
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
 import random
 import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -273,3 +276,24 @@ def test_criterion_11_group_outputs_match_the_recorded_digests(capsys):
         assert cli_main(argv) == 0
         assert _digest(capsys.readouterr().out) == want, argv
     _report(11, f"{len(ops.GROUPS)} group digests, --dot and list match perfbench/expected.json")
+
+
+def test_criterion_12_the_benchmark_worker_runs_on_the_package():
+    """One traced pass of perfbench/worker.py, as the benchmark starts it:
+    the worker and its tracer bind to the package by name (the registry,
+    ``SeriesEnv(cfg).order``, every layer's public functions and the exact
+    classes' methods), so a binding that broke fails here."""
+    _, expected = _recorded_answers()
+    root = PERFBENCH.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    job = json.dumps({"ops": [{"build": "phi"}, {"check": "sym-e1", "mutate": False}],
+                      "seed": 1, "pass_id": 0, "trace": True})
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "pass", repr(time.perf_counter())],
+                          input=job, capture_output=True, text=True, env=env, cwd=root, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["error"] is None
+    assert [op["status"] for op in out["ops"]] == [expected["build"]["phi"], "pass"]
+    names = out["trace"]["names"]
+    assert "identities.run_identity" in names and "exact.mul" in names
+    _report(12, f"traced worker pass: phi build digest, sym-e1 pass, {len(names)} traced names")

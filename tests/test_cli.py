@@ -96,6 +96,16 @@ class TestExpand:
         assert out == ""
         assert "1/2" in err and "delta" in err
 
+    @pytest.mark.parametrize("argv", [("expand", "phi", "--order", "1e400"),
+                                      ("verify", "sym-e1", "--order", "100000000000000000000")])
+    def test_order_past_the_largest_list_size_is_usage_error(self, capsys, argv):
+        # past sys.maxsize no coefficient list can be sized, so it fails
+        # before one is; it used to end in an OverflowError traceback, exit 1
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: order of ") and err.count("\n") == 1 and "largest list size" in err
+
     def test_unknown_series(self, capsys):
         rc, _, err = run_cli(capsys, "expand", "zeta")
         assert rc == 2 and "unknown series" in err
@@ -271,6 +281,12 @@ class TestPoint:
         assert abs(complex(re, im) - (5 ** 0.5 - 1) / 2) < 1e-12
         rc, out, err = run_cli(capsys, "point", "two-torsion", "--tau", "0.37+0.001i")
         assert rc == 0 and err == ""
+
+    def test_large_re_tau_is_reduced_mod_5(self, capsys):
+        # phi has period 5 in tau; 1e10 + i used to be refused as cancelled
+        rc, out, err = run_cli(capsys, "point", "two-torsion", "--tau=1e10+1i")
+        assert rc == 0 and err == ""
+        assert run_cli(capsys, "point", "two-torsion", "--tau=1i") == (0, out, "")
 
     def test_lower_half_plane_exits_2(self, capsys):
         rc, out, err = run_cli(capsys, "point", "two-torsion", "--tau", "-1.1i")

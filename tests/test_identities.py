@@ -144,6 +144,26 @@ def test_exact_residuals_keep_their_digest_at_order_60():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_RESIDUALS_AT_60
 
 
+def test_each_exact_series_row_reads_named_series_and_mutates_one_it_reads():
+    # so a mutant always perturbs a series the residual reads
+    for name, (inputs, _, target, _) in identities._EXACT_SERIES.items():
+        assert inputs and set(inputs) <= set(modular.NAMES), name
+        assert target in inputs, name
+
+
+def test_an_exact_series_check_fetches_exactly_its_inputs_in_order():
+    # the table's runner is the only fetch path: each input once, in order
+    class Recording(SeriesEnv):
+        def get(self, name):
+            fetched.append(name)
+            return super().get(name)
+
+    for name, (inputs, _, target, _) in identities._EXACT_SERIES.items():
+        fetched = []
+        get_check(name).runner(Recording(VerifyConfig(series_order=14), mutate=target))
+        assert fetched == list(inputs), name
+
+
 # -- the product memo of each exact-series check ---------------------------
 
 

@@ -378,6 +378,13 @@ class TestPhiNumeric:
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
             assert phi_numeric(tau) == -theta_k(1, 0.0, tau) / theta_k(2, 0.0, tau)
 
+    def test_re_tau_is_reduced_mod_5_to_the_bit(self):
+        # 25 (n + p)^2 = (odd)^2/4 multiplies both nullwerte by e^(pi i/4)
+        # under tau -> tau + 5; unreduced, |Re tau| * m^2 rounded each
+        # exponent and the guard refused this Im(tau) = 1 as too small
+        for shift in (5 * 2**30, -5 * 2**30, 5):
+            assert phi_numeric(complex(0.25 + shift, 1.0)) == phi_numeric(0.25 + 1j)
+
     def test_abs_invariant_under_tau_plus_5(self):
         for tau in (1.2j, 0.3 + 0.9j):
             assert abs(abs(phi_numeric(tau + 5)) - abs(phi_numeric(tau))) < 1e-12
