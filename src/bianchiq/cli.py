@@ -238,7 +238,8 @@ def _cmd_group(args) -> int:
     try:
         spec = congruence.get_spec(args.name)
     except congruence.UnknownGroup as exc:
-        print(str(exc), file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(exc.args[0], file=sys.stderr)
         return 2
     gd = congruence.genus_data(spec, args.N)
     out = {

@@ -194,7 +194,7 @@ def builtin_specs() -> dict[str, SubgroupSpec]:
 def get_spec(name: str) -> SubgroupSpec:
     specs = builtin_specs()
     if name not in specs:
-        raise UnknownGroup(f"unknown group {name!r}; known: {sorted(specs)}")
+        raise UnknownGroup(f"unknown group {name!r}; known: {', '.join(sorted(specs))}")
     return specs[name]
 
 

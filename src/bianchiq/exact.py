@@ -29,13 +29,14 @@ numerators to every m-th slot; truncation and ``reduce_ram`` are slices.
   min(len A, len B), and max|A| and max|B| themselves (one operand may be
   all zeros), plus a sign bit.  One bigint multiply gives the product,
   whose denominator is the product of the operands' denominators.  Slots
-  of up to 8 bytes are rounded up to a machine word of 1, 2, 4 or 8 bytes
-  and converted by ``array`` at C level; wider slots take one
-  ``int.to_bytes`` each.  Both write two's complement slots, and one bias
-  makes them signed: xor with 2^(8w-1) per slot turns a slot x into
-  x + 2^(8w-1) >= 0, and subtracting the sum of those biases leaves the
-  operand's value.  The product's low slots, biased the same way, are
-  unsigned, and xor returns them to two's complement.
+  of up to 8 bytes are converted by ``array`` at C level as machine words
+  of 1, 2, 4 or 8 bytes: 5- and 6-byte slots are cut from 8-byte words by
+  strided byte copies, and the other widths round up to a word.  Wider
+  slots take one ``int.to_bytes`` each.  Both write two's complement
+  slots, and one bias makes them signed: xor with 2^(8w-1) per slot turns
+  a slot x into x + 2^(8w-1) >= 0, and subtracting the sum of those biases
+  leaves the operand's value.  The product's low slots, biased the same
+  way, are unsigned, and xor returns them to two's complement.
 * Powers use left-to-right binary powering from the base itself, never a
   product by the constant 1, so x^2, x^3 and x^5 cost 1, 2 and 3 products.
 * Inside a ``product_memo`` scope, which ``identities.run_identity`` opens
@@ -530,6 +531,39 @@ def _unpack_words(raw: bytes, width: int) -> list:
     return words.tolist()
 
 
+# per byte value, the byte its sign extends to: 0xff from 0x80 up, else 0
+_SIGN_FILL = bytes(255 * (b >> 7) for b in range(256))
+
+
+def _pack_narrow(xs, width: int) -> int:
+    """_pack_words for a width below 8: eight-byte words, of which each
+    slot keeps its low width bytes, copied by strided slices."""
+    words = array(_WORD_CODE[8], xs)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    # strided slices of bytes copy faster than those of a memoryview
+    raw = words.tobytes()
+    out = bytearray(width * len(words))
+    for j in range(width):
+        out[j::width] = raw[j::8]
+    return int.from_bytes(out, "little")
+
+
+def _unpack_narrow(raw: bytes, width: int) -> list:
+    """_unpack_words for a width below 8: each slot widened to eight
+    bytes, its top bytes filled from its sign."""
+    wide = bytearray(8 * (len(raw) // width))
+    for j in range(width):
+        wide[j::8] = raw[j::width]
+    sign = raw[width - 1::width].translate(_SIGN_FILL)
+    for j in range(width, 8):
+        wide[j::8] = sign
+    words = array(_WORD_CODE[8], wide)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
+
+
 def _pack_bytes(xs, width: int) -> int:
     """_pack_words for any width."""
     return int.from_bytes(b"".join([x.to_bytes(width, "little", signed=True) for x in xs]), "little")
@@ -550,8 +584,12 @@ def _int_mul(a, b, m: int) -> list:
     bound = max(ma * mb * min(len(a), len(b)), ma, mb)
     # bytes per slot: room for the bound plus a sign bit
     width = (bound.bit_length() + 8) // 8
-    if width <= 8:
-        # one machine word per slot, converted at C level
+    if width in (5, 6):
+        # exact-width slots, narrowed from and widened to machine words
+        pack, unpack = _pack_narrow, _unpack_narrow
+    elif width <= 8:
+        # one machine word per slot, converted at C level; 3 and 7 bytes
+        # round up, which measured faster than narrowing
         width = 1 << (width - 1).bit_length()
         pack, unpack = _pack_words, _unpack_words
     else:

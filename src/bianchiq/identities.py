@@ -7,6 +7,9 @@ Three kinds of check:
   Each is a row of ``_EXACT_SERIES``: its input series, a residual taking
   them in order, the input its mutant perturbs, and a description.  The
   Bianchi cubic and W come from ``curve.cubic`` and ``curve.disc_factor``.
+  A mutant adds q^7 to that input, and ``run_identity`` looks for its
+  first failure at the short target q^10 before the configured order: a
+  nonzero coefficient there is the least one at any order.
 * ``exact_poly``: an exact polynomial equality over Q.
 * ``numeric``: a theta-function identity sampled at seeded random points in
   the configured tau box.  Its runner, ``runner(cfg, rng)``, is a generator
@@ -37,6 +40,12 @@ from .curve import _worse
 from .exact import PuiseuxSeries, QPoly, product_memo
 
 _ORDER_SLACK = 8
+# a mutated input is its named series plus q^_MUTATION_EXPONENT
+_MUTATION_EXPONENT = 7
+# a mutant is looked for at this target before the configured one; it
+# exceeds the mutation exponent, so the perturbation lies inside its window
+_SHORT_TARGET = 10
+assert _SHORT_TARGET > _MUTATION_EXPONENT
 
 
 class UnknownName(KeyError):
@@ -146,7 +155,7 @@ class SeriesEnv:
     def get(self, name: str) -> PuiseuxSeries:
         s = modular.named_series(name, self.order)
         if name == self.mutate:
-            s = s + PuiseuxSeries.monomial(7, self.order)
+            s = s + PuiseuxSeries.monomial(_MUTATION_EXPONENT, self.order)
         return s
 
 
@@ -583,17 +592,29 @@ def check_names() -> tuple[str, ...]:
 
 def run_identity(name: str, cfg: VerifyConfig | None = None, *, mutate: bool = False) -> CheckResult:
     """Run one named check; ``mutate`` perturbs the check's designated input
-    to show the check is not vacuous (exact kinds; a numeric one raises)."""
+    to show the check is not vacuous (exact kinds; a numeric one raises).
+
+    A mutated exact-series check runs first at the short target
+    _SHORT_TARGET and stops at a failure found there, which is the first
+    failure at the configured order as well; only a mutant that passes the
+    short window is run again at the configured order.  The result reports
+    the configured order either way."""
     cfg = cfg or VerifyConfig()
     check = get_check(name)
     if check.kind == "exact_series":
-        env = SeriesEnv(cfg, mutate=check.mutation_target if mutate else None)
-        # one memo per check: its runs repeat products, checks rarely share them
-        with product_memo():
-            bad = _first_nonzero(check.runner(env), env.target)
-        if bad is None:
-            return CheckResult(name, check.kind, "pass", order=str(env.target))
-        return CheckResult(name, check.kind, "fail", first_failing_exponent=str(bad), order=str(env.target))
+        order = str(Fraction(cfg.series_order))
+        # below a residual's window its coefficients are the true ones, so a
+        # nonzero one at the short target is the least at the full one too
+        short = mutate and cfg.series_order > _SHORT_TARGET
+        for window in (cfg._replace(series_order=_SHORT_TARGET), cfg) if short else (cfg,):
+            env = SeriesEnv(window, mutate=check.mutation_target if mutate else None)
+            # one memo per window: a check's runs repeat products, and sharing
+            # them across checks pays only at deep orders
+            with product_memo():
+                bad = _first_nonzero(check.runner(env), env.target)
+            if bad is not None:
+                return CheckResult(name, check.kind, "fail", first_failing_exponent=str(bad), order=order)
+        return CheckResult(name, check.kind, "pass", order=order)
     if check.kind == "exact_poly":
         ok = check.runner(mutate)
         return CheckResult(name, check.kind, "pass" if ok else "fail",

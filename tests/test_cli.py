@@ -355,6 +355,12 @@ class TestGroup:
         rc, _, _ = run_cli(capsys, "group", "Gamma(7)")
         assert rc == 2
 
+    def test_unknown_group_message_is_not_quoted(self, capsys):
+        rc, out, err = run_cli(capsys, "group", "Gamma(0)")
+        assert rc == 2 and out == ""
+        assert err.startswith("unknown group 'Gamma(0)'; known: G1, G2, G3, G4, Gamma(1), ")
+        assert err.endswith(", Gamma1(5)\n") and '"' not in err and "[" not in err
+
 
 class TestList:
     def test_catalog_sections(self, capsys):

@@ -637,7 +637,7 @@ def slot_width(a, b, m):
     return (max(ma * mb * min(len(a), len(b)), ma, mb).bit_length() + 8) // 8
 
 
-WIDTHS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
+WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17)
 
 
 def boundary_cases(w, rng):

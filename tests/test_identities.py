@@ -112,10 +112,12 @@ class TestMutationSensitivity:
 # sha256 of the 52 lines json.dumps(run_identity(name, cfg, mutate=m).to_json(),
 # sort_keys=True) over the 26 exact checks in registry order and m = False,
 # True, joined by newlines: every verdict, and the first failing exponent of
-# every mutant, at series orders 14 and 30
+# every mutant, at series orders 14 and 30, and at the benchmark's order 60;
+# all three were recorded with every mutant run through its full window
 EXACT_VERDICT_DIGESTS = {
     14: "b5f2604be0cc8175ec1b1a695b9adf60568761149c768aad233680d2b87ec9af",
     30: "5994bc8726ce0c8063cf948b3c67bd751a647f04b9d8be68dcf9ce35dba897db",
+    60: "46416db04c831c042f00590d47f330534b4aaaa545f3fb29dd388e8f7010cb85",
 }
 
 
@@ -228,6 +230,52 @@ def test_memo_hits_at_the_benchmark_order(name, hits, misses, memos):
     for mutate in (False, False, True):
         run_identity(name, cfg, mutate=mutate)
     assert [(m.hits, m.misses) for m in memos[1:]] == [(hits, misses)] * 2
+
+
+# -- the short target a mutant is looked for at first ------------------------
+
+
+def _patched_check(monkeypatch, residual):
+    check = IdentityCheck("patched", "exact_series", "one patched residual", lambda env: [residual(env)], "phi")
+    monkeypatch.setattr(identities, "get_check", lambda name: check)
+
+
+@pytest.fixture
+def targets(monkeypatch):
+    """The target of every SeriesEnv run_identity builds, in order."""
+    built = []
+
+    class Recording(SeriesEnv):
+        def __init__(self, cfg, mutate=None):
+            super().__init__(cfg, mutate)
+            built.append(self.target)
+
+    monkeypatch.setattr(identities, "SeriesEnv", Recording)
+    return built
+
+
+def test_a_mutant_past_the_short_target_is_found_at_the_full_one(memos, targets, monkeypatch):
+    # nothing fails through the short target, so the full window runs too
+    _patched_check(monkeypatch, lambda env: PuiseuxSeries.monomial(12, env.order))
+    r = run_identity("patched", VerifyConfig(series_order=30), mutate=True)
+    assert (r.status, r.first_failing_exponent, r.order) == ("fail", "12", "30")
+    assert len(memos) == 2 and targets == [10, 30]
+
+
+def test_a_registered_mutant_is_certified_at_the_short_target(memos, targets):
+    r = run_identity("bring2-subst", VerifyConfig(series_order=60), mutate=True)
+    assert (r.status, r.first_failing_exponent, r.order) == ("fail", "8", "60")
+    assert len(memos) == 1 and targets == [10]
+    # a plain run, and a mutant at the short target itself, take one window
+    run_identity("bring2-subst", VerifyConfig(series_order=60))
+    run_identity("bring2-subst", VerifyConfig(series_order=10), mutate=True)
+    assert len(memos) == 3 and targets == [10, 60, 10]
+
+
+def test_a_residual_short_of_its_target_raises_on_a_mutated_run(monkeypatch):
+    _patched_check(monkeypatch, lambda env: PuiseuxSeries.zero(env.target))
+    with pytest.raises(ArithmeticError, match="raise the slack"):
+        run_identity("patched", VerifyConfig(series_order=30), mutate=True)
 
 
 def test_first_failing_exponent_is_the_least_over_residuals():
