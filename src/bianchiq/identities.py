@@ -400,9 +400,9 @@ def _addition_eq(formula, cfg: VerifyConfig, rng):
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         x, y = cfg.random_z(rng), cfg.random_z(rng)
-        t = lambda k, a: theta.theta_k(k, a, tau)
-        lhs = t(3, 0) ** 2 * t(s, x + y) * t(d, x - y)
-        rhs = t(p[0], x) * t(p[1], x) * t(p[2], y) ** 2 - t(m[0], x) ** 2 * t(m[1], y) * t(m[2], y)
+        lhs = theta.theta_k(3, 0, tau) ** 2 * theta.theta_k(s, x + y, tau) * theta.theta_k(d, x - y, tau)
+        rhs = (theta.theta_k(p[0], x, tau) * theta.theta_k(p[1], x, tau) * theta.theta_k(p[2], y, tau) ** 2
+               - theta.theta_k(m[0], x, tau) ** 2 * theta.theta_k(m[1], y, tau) * theta.theta_k(m[2], y, tau))
         yield _rel(lhs, rhs)
 
 

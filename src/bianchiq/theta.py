@@ -35,6 +35,11 @@ any other p or wider window, and none of them is cached.  The window, the
 summation order and the operand order of each exponent are those of the
 term-by-term sum: every value is reproducible to the bit, and the
 residuals the identity checks report depend on it.
+
+A sum has a tau part, ``_tau_part`` (tau, Im tau, the window's half-width),
+and a z part, ``_sum``, the one summation loop.  ``theta_k`` keeps the tau
+part of the last tau object it was given and reuses it while consecutive
+calls pass that same object.
 """
 
 from __future__ import annotations
@@ -67,15 +72,24 @@ def theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0
     ``extra`` widens the window (in units of log magnitude); it exists so
     tests can verify that enlarging the window does not change the value.
     """
-    z = complex(z)
-    tau = complex(tau)
+    return _sum(p, c, complex(z), _tau_part(complex(tau), extra))
+
+
+def _tau_part(tau: complex, extra: float = 0.0) -> tuple[complex, float, float]:
+    """(tau, Im(tau), the window's half-width): what a sum needs at any z."""
     a = tau.imag
     if a <= 0.0:
         raise DomainError(f"Im(tau) must be positive, got {a}")
+    return tau, a, math.sqrt((_WINDOW_LOG + 8.0 + extra) / (math.pi * a)) + 1.0
+
+
+def _sum(p: float, c: float, z: complex, tau_part: tuple[complex, float, float]) -> complex:
+    """The theta series with characteristic (p, c) at z and tau_part's tau."""
+    tau, a, half = tau_part
     b = z.imag
     # |term(n)| = exp(-pi*a*u^2 + pi*b^2/a) with u = n + p + b/a
     center = -b / a - p
-    n_min, n_max = _window(center, a, extra)
+    n_min, n_max = math.floor(center - half), math.ceil(center + half)
     if n_max - n_min > _MAX_WINDOW:
         raise ConvergenceError(f"window of {n_max - n_min} terms exceeds cap; Im(tau) too small")
     twice = 2.0 * (center - p)
@@ -95,15 +109,9 @@ def theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0
     exp = cmath.exp
     for tau_coeff, z_coeff in terms:
         total += exp(tau_coeff * tau + z_coeff * zc)
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+    if not cmath.isfinite(total):
         raise OverflowError("theta summation overflowed binary64")
     return total
-
-
-def _window(center: float, a: float, extra: float = 0.0) -> tuple[int, int]:
-    """The first and last n summed around ``center`` at Im(tau) = a."""
-    half = math.sqrt((_WINDOW_LOG + 8.0 + extra) / (math.pi * a)) + 1.0
-    return math.floor(center - half), math.ceil(center + half)
 
 
 _IPI = 1j * math.pi
@@ -147,12 +155,23 @@ INDICES = tuple(range(5)) + tuple(k + 0.5 for k in range(5))
 _CHARACTERISTIC = {float(k): float(Fraction(1, 2) - Fraction(k) / 5) for k in INDICES}
 
 
+# theta_k's last tau object and its _tau_part(5*tau), read once and replaced
+# as one tuple, so that no thread pairs one tau with another tau's part.
+_last_tau = (None, None)
+
+
 def theta_k(k, z: complex, tau: complex) -> complex:
     """theta_k(z, tau) = (1/i) theta_char(1/2 - k/5, 5/2, 5z, 5tau); k mod 5."""
+    global _last_tau
     p = _CHARACTERISTIC.get(k)
     if p is None:
         p = _CHARACTERISTIC[reduce_index(k)]
-    return theta_char(p, 2.5, 5 * complex(z), 5 * complex(tau)) / 1j
+    z = 5 * complex(z)
+    tau = complex(tau)
+    last = _last_tau
+    if last[0] is not tau:  # identity, not ==: taus equal but for a zero's sign stay apart
+        last = _last_tau = (tau, _tau_part(5 * tau))
+    return _sum(p, 2.5, z, last[1]) / 1j
 
 
 def theta_vector(z: complex, tau: complex) -> tuple[complex, ...]:
@@ -191,14 +210,14 @@ def phi_numeric(tau: complex) -> complex:
     t2 = theta_k(2, 0.0, tau)
     if abs(t2) < 1e-30:
         raise ZeroDivisionError("theta_2(0, tau) vanished; tau outside the usable region")
-    a = 5 * tau.imag
+    _, a, half = _tau_part(5 * tau)
     phases = (abs(5 * tau.real) * (0.5 * a**-1.5 + 2 / (math.e * a))
               + 5 / a + 10 * math.pi / math.sqrt(2 * math.pi * math.e * a))
     for k, value in ((1, t1), (2, t2)):
         p = _CHARACTERISTIC[k]
-        n_min, n_max = _window(-p, a)
+        n_terms = math.ceil(-p + half) - math.floor(-p - half) + 1
         d = abs(p - round(p))
-        error = ((n_max - n_min + 1) * math.exp(-math.pi * a * d * d) + phases) * 2.0**-53
+        error = (n_terms * math.exp(-math.pi * a * d * d) + phases) * 2.0**-53
         # a NaN nullwert compares false here and reaches the quotient
         if error > _PHI_MAX_ERROR * abs(value):
             raise CancellationError(

@@ -219,17 +219,25 @@ def test_a_small_memo_cap_changes_no_residual(memos, monkeypatch):
     assert all(m.slots <= 400 for m in memos)
 
 
+# a mutant's one scope, at the short target: products at working order 18
+MUTANT_MEMO_AT_SHORT_TARGET = {"bring2-subst": (74, 44), "hulek-craig-2tors": (25, 49)}
+
+
 @pytest.mark.parametrize("name, hits, misses", [
     ("bring2-subst", 74, 44),
     ("hulek-craig-2tors", 25, 49),
 ])
-def test_memo_hits_at_the_benchmark_order(name, hits, misses, memos):
+def test_memo_hits_at_the_benchmark_order(name, hits, misses, memos, targets):
     # a key that stopped hitting, or products that stopped repeating,
-    # change the counts; the first run warms the named-series cache
+    # change the counts; the first run warms the named-series cache.  The
+    # mutant is certified at the short target, so its counts are pinned on
+    # their own
     cfg = VerifyConfig(series_order=60, samples=1)
     for mutate in (False, False, True):
         run_identity(name, cfg, mutate=mutate)
-    assert [(m.hits, m.misses) for m in memos[1:]] == [(hits, misses)] * 2
+    assert targets == [60, 60, 10] and len(memos) == 3
+    assert (memos[1].hits, memos[1].misses) == (hits, misses)
+    assert (memos[2].hits, memos[2].misses) == MUTANT_MEMO_AT_SHORT_TARGET[name]
 
 
 # -- the short target a mutant is looked for at first ------------------------
@@ -459,6 +467,19 @@ def test_numeric_residuals_keep_their_bits_at_200_samples(seed):
         r = run_identity(name, cfg)
         lines.append(f"{name} {r.status} {r.worst_residual.hex()}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RESIDUAL_DIGESTS_AT_200[seed]
+
+
+def _known_failure(name, seed, worst):
+    reason = f"{name} at seed {seed}, 200 samples: worst residual {worst} against tol 1e-9 (ROADMAP item 8)"
+    return pytest.param(name, seed, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason))
+
+
+# When item 8 mends these, they pass, the strict xfails fail, and each turns
+# into a passing test.
+@pytest.mark.parametrize("name, seed", [_known_failure("chain-eq10", 403, "4.85e-9"),
+                                        _known_failure("weierstrass-map", 229, "1.048e-9")])
+def test_known_numeric_failures_at_200_samples(name, seed):
+    assert run_identity(name, VerifyConfig(samples=200, seed=seed)).status == "pass"
 
 
 class TestNaNResidual:

@@ -2,8 +2,12 @@
 and consistency with the exact hauptmodul expansion."""
 
 import cmath
+import hashlib
 import math
 import random
+import sys
+import threading
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -285,6 +289,62 @@ class TestCoefficientTables:
         assert len(theta._ORDERS) == 211
 
 
+class TestTauCache:
+    """theta_k reuses the tau part of the last tau object it was given; no
+    value may depend on which object came before."""
+
+    @staticmethod
+    def calls(seed, count, taus):
+        rng = random.Random(seed)
+        return [(rng.choice(INDEX_SPELLINGS), complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+                 rng.choice(taus)) for _ in range(count)]
+
+    def test_alternating_taus_give_the_uncached_values(self):
+        tau1, tau2 = 0.2 + 1.1j, complex(-0.0, 0.7)
+        for z in (0.1 + 0.2j, -0.3j):
+            for tau in (tau1, tau2, tau1, complex(0.0, 0.7), tau2, complex(tau1.real, tau1.imag)):
+                for k in (0, 3, F(5, 2), 7):
+                    assert repr(theta_k(k, z, tau)) == repr(reference_theta_k(k, z, tau)), (k, z, tau)
+
+    def test_a_lower_half_plane_tau_raises_and_leaves_the_cache_usable(self):
+        tau = 0.1 + 0.9j
+        theta_k(1, 0.2j, tau)
+        for bad in (0.1 - 0.9j, complex(0.1, 0.0), complex(0.1, -0.0)):
+            with pytest.raises(DomainError):
+                theta_k(1, 0.2j, bad)
+            assert theta._last_tau[0] is tau
+            assert repr(theta_k(2, 0.3 - 0.1j, tau)) == repr(reference_theta_k(2, 0.3 - 0.1j, tau))
+
+    def test_threads_get_the_serial_values(self, monkeypatch):
+        # each thread interleaves its own tau objects; a thread that paired
+        # its tau with another thread's tau part would sum a wrong value
+        rng = random.Random(29)
+        work = [self.calls(i, 2000, [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.5)) for _ in range(2)])
+                for i in range(4)]
+        serial = [[repr(theta_k(*call)) for call in calls] for calls in work]
+        got = [None] * len(work)
+
+        def run(i):
+            got[i] = [repr(theta_k(*call)) for call in work[i]]
+
+        # both parts of a sum start with sleep(0), so another thread can run
+        # right after the cache was read or replaced
+        for name in ("_tau_part", "_sum"):
+            monkeypatch.setattr(theta, name, lambda *args, real=getattr(theta, name): time.sleep(0) or real(*args))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == serial
+
+
 class TestThetaVector:
     def test_no_common_zero(self):
         for _ in range(1000):
@@ -388,3 +448,74 @@ class TestPhiNumeric:
     def test_abs_invariant_under_tau_plus_5(self):
         for tau in (1.2j, 0.3 + 0.9j):
             assert abs(abs(phi_numeric(tau + 5)) - abs(phi_numeric(tau))) < 1e-12
+
+
+def pinned_line(fn, *args, **kwargs) -> str:
+    """repr of the value, or the type and message of the exception raised."""
+    try:
+        return f"{fn.__name__} {fn(*args, **kwargs)!r}"
+    except (ArithmeticError, ValueError) as exc:
+        return f"{fn.__name__} {type(exc).__name__}: {exc}"
+
+
+def pinned_calls(seed):
+    """A seeded mix of theta_k, theta_char, theta_vector and phi_numeric
+    calls, as (fn, args, kwargs).  Runs of theta_k calls share one tau
+    object and are interleaved with other objects, some equal to each
+    other but distinct; the mix also reaches ties, windows past the reach,
+    Re tau = +-0.0, k outside [0, 5), and every error a call can raise."""
+    rng = random.Random(seed)
+    taus = [complex(rng.choice((0.0, -0.0, rng.uniform(-0.5, 0.5))), rng.uniform(0.05, 3.0))
+            for _ in range(10)]
+    taus += [complex(t.real, t.imag) for t in taus[:4]]
+    taus += [complex(0.1, -1.0), complex(0.3, 0.0), complex(-0.0, 1e-13), complex(0.2, 0.01)]
+    ks = [0, 1, 2, 3, 4, 7, -3, 12.5, -2.5, F(7, 2), F(-1, 2), 9.0, 0.3]
+    for _ in range(3000):
+        tau = rng.choice(taus)
+        for _ in range(rng.randint(1, 14)):
+            z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+            yield theta_k, (rng.choice(ks), z, tau), {}
+        if rng.random() < 0.2:
+            yield theta_vector, (z, tau), {}
+        if rng.random() < 0.1:
+            yield phi_numeric, (tau,), {}
+    # 2t within 3 margins of a tie cell, and on it
+    for p in _CHARACTERISTIC.values():
+        for a in (0.25, 1.0, 9.0):
+            for j in (round(-4 * p) + d for d in (-1, 0, 2)):
+                for off in (0.0, 3 * _TIE_MARGIN, -3 * _TIE_MARGIN, _TIE_MARGIN / 2):
+                    im_z = TestCoefficientTables.im_z_at(p, a, j + off)
+                    yield theta_char, (p, 2.5, complex(0.2, im_z), complex(0.1, a)), {}
+                    yield theta_k, (rng.choice(ks[:10]), complex(0.04, im_z / 5), complex(0.02, a / 5)), {}
+    # windows past the reach, and a wider window
+    for z, tau in TestCoefficientTables.far_points(47, 30):
+        p, c = rng.uniform(-1, 1), rng.uniform(-3, 3)
+        for extra in (0.0, 80.0):
+            yield theta_char, (p, c, z, tau), {"extra": extra}
+            yield theta_char, (rng.choice(list(_CHARACTERISTIC.values())), 2.5, z, tau), {"extra": extra}
+        yield theta_k, (rng.choice(ks[:10]), z / 5, tau / 5), {}
+    for z, tau in ((0.04j, 4e-5j), (0.1 - 0.03j, 3e-5j)):
+        yield theta_k, (1, z, tau), {}
+    # overflow: of a term, and of the sum of finite terms
+    yield theta_k, (1, 2j, 0.01j), {}
+    for b in (3.3, 3.35, 3.36, 3.37, 3.4):
+        yield theta_char, (0.0, 0.0, complex(0, b), 0.05j), {}
+    yield theta_char, (0.5, 0.5, 0.0, 1e-12j), {}
+    # phi_numeric where the nullwerte cancel, and across Re tau
+    for tau in (0.01j, 0.45 + 0.0004j, 0.37 + 0.001j, 0.03j, complex(-0.0, 1.2), complex(0.0, 1.2),
+                complex(0.25 + 5 * 2**30, 1.0), 1e-13j, -1j):
+        yield phi_numeric, (tau,), {}
+
+
+# sha256 of the newline-joined pinned_line of every call in pinned_calls(seed)
+THETA_DIGESTS = {
+    23: "ca0913710b9bdf407f78e6db6b07888ba0237ae4e8b195d167d57ed1cedef57e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(THETA_DIGESTS))
+def test_theta_results_keep_their_bits(seed):
+    lines = [pinned_line(fn, *args, **kwargs) for fn, args, kwargs in pinned_calls(seed)]
+    raised = {line.split()[1].rstrip(":") for line in lines if line.split()[1].endswith(":")}
+    assert raised == {"DomainError", "ConvergenceError", "OverflowError", "CancellationError", "ValueError"}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == THETA_DIGESTS[seed]
