@@ -77,7 +77,7 @@ def _vanishes(values, size=None) -> bool:
         return all(v.is_zero() for v in values)
     bound = VALUE_ZERO_ABS if size is None else ZERO_REL * size
     # an all-zero vector vanishes even when its size, and so the bound, is 0
-    return max(abs(v) for v in values) < bound or not any(values)
+    return max(map(abs, values)) < bound or not any(values)
 
 
 def _worse(worst: float, r: float) -> float:
@@ -94,20 +94,22 @@ def _worse(worst: float, r: float) -> float:
 def _size(P) -> float:
     """The largest coordinate modulus, the scale of the numeric zero test
     (1 for series, whose zero test takes no scale)."""
-    return 1.0 if isinstance(P[0], PuiseuxSeries) else max(abs(c) for c in P)
+    return 1.0 if isinstance(P[0], PuiseuxSeries) else max(map(abs, P))
 
 
 # -- curve membership -------------------------------------------------------
+
+# Quadric k is x_k^2 + phi x_i x_j - (1/phi) x_l x_m, with (k, i, j, l, m)
+# one row here: i, j = k +- 2 and l, m = k +- 1, mod 5.
+_QUADRICS = tuple((k, (k + 2) % 5, (k - 2) % 5, (k + 1) % 5, (k - 1) % 5) for k in range(5))
+
 
 def quadric_residuals(P, phi):
     """The five quadric values; P lies on the curve iff all are zero."""
     if _vanishes((phi,)):
         raise ZeroDivisionError("phi fails the zero test; the quadrics need 1/phi")
     inv = 1 / phi
-    return tuple(
-        P[k] * P[k] + phi * P[(k + 2) % 5] * P[(k - 2) % 5] - inv * P[(k + 1) % 5] * P[(k - 1) % 5]
-        for k in range(5)
-    )
+    return tuple(P[k] * P[k] + phi * P[i] * P[j] - inv * P[l] * P[m] for k, i, j, l, m in _QUADRICS)
 
 
 def max_quadric_residual(P, phi) -> float:
@@ -115,12 +117,11 @@ def max_quadric_residual(P, phi) -> float:
     NaN when a coordinate is NaN."""
     inv = 1 / phi
     worst = 0.0
-    for k in range(5):
+    for k, i, j, l, m in _QUADRICS:
         a = P[k] * P[k]
-        b = phi * P[(k + 2) % 5] * P[(k - 2) % 5]
-        c = inv * P[(k + 1) % 5] * P[(k - 1) % 5]
-        scale = max(abs(a), abs(b), abs(c), 1e-300)
-        worst = _worse(worst, abs(a + b - c) / scale)
+        b = phi * P[i] * P[j]
+        c = inv * P[l] * P[m]
+        worst = _worse(worst, abs(a + b - c) / max(abs(a), abs(b), abs(c), 1e-300))
     return worst
 
 

@@ -68,7 +68,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import compress, count, repeat, zip_longest
 from operator import add, index, mul
 
 
@@ -392,12 +392,14 @@ class PuiseuxSeries:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Arbitrary-precision-safe dict: integers as decimal strings."""
+        """Arbitrary-precision-safe dict: integers as decimal strings, each
+        coefficient as its lowest-terms [numerator, denominator]."""
+        den = self.den
         return {
             "ram": self.ram,
             "lo": self.lo,
             "trunc": self.trunc,
-            "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
+            "coeffs": [[str(x // (g := math.gcd(x, den))), str(den // g)] for x in self.nums],
         }
 
     @classmethod
@@ -653,7 +655,8 @@ class QPoly:
     """Dense univariate polynomial over Q; index i holds the coefficient
     of the i-th power.  The zero polynomial has an empty coefficient tuple."""
 
-    __slots__ = ("coeffs",)
+    # _floats: the coefficients as complex, highest first, set on first use (see __call__)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs=()):
         c = [_rat(v) for v in coeffs]
@@ -686,14 +689,7 @@ class QPoly:
             other = QPoly([other])
         if not isinstance(other, QPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        return QPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -701,8 +697,6 @@ class QPoly:
         return QPoly([-v for v in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly([other])
         return self + (-other)
 
     def __rsub__(self, other):
@@ -743,15 +737,28 @@ class QPoly:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        """Horner evaluation; x may be a Fraction, complex, or series."""
+        """Horner evaluation; x may be a Fraction, int, float, complex or series.
+
+        At a complex x, acc * x + c adds complex(float(c)) through
+        Fraction.__radd__; those numbers are made once per polynomial and
+        added directly, so every value keeps its bits."""
         if not self.coeffs:
             return 0 * x
-        acc = None
-        for v in reversed(self.coeffs):
-            if acc is None:
-                acc = x * 0 + v if not isinstance(x, PuiseuxSeries) else _series_const(v, x)
-            else:
-                acc = acc * x + (v if not isinstance(x, PuiseuxSeries) else _series_const(v, x))
+        series = isinstance(x, PuiseuxSeries)
+        if series:
+            window = Fraction(x.trunc - x.lo, x.ram)
+            cs = (PuiseuxSeries.monomial(0, window, v) for v in reversed(self.coeffs))
+        elif type(x) is complex:
+            try:
+                cs = iter(self._floats)
+            except AttributeError:
+                object.__setattr__(self, "_floats", tuple(complex(float(v)) for v in reversed(self.coeffs)))
+                cs = iter(self._floats)
+        else:
+            cs = reversed(self.coeffs)
+        acc = next(cs) if series else x * 0 + next(cs)
+        for v in cs:
+            acc = acc * x + v
         return acc
 
     def in_power(self, k: int) -> "QPoly":
@@ -766,7 +773,3 @@ class QPoly:
             return "QPoly(0)"
         parts = [f"{v}*x^{i}" for i, v in enumerate(self.coeffs) if v]
         return "QPoly(" + " + ".join(parts) + ")"
-
-
-def _series_const(v, like: PuiseuxSeries) -> PuiseuxSeries:
-    return PuiseuxSeries.monomial(0, Fraction(like.trunc - like.lo, like.ram), v)

@@ -15,7 +15,9 @@ Three kinds of check:
   the configured tau box.  Its runner, ``runner(cfg, rng)``, is a generator
   of relative residuals, one or more per sample.  ``run_identity`` alone
   folds them into the worst, a NaN counting as the worst of all, and the
-  check passes iff that is below the configured tolerance.
+  check passes iff that is below the configured tolerance.  A body binds
+  ``theta.theta_k`` once, when it starts, so a replacement installed before
+  the run (a tracer's) is the one called.
 
 Checks are deterministic given a VerifyConfig: per-check random streams are
 derived from the seed and the check name, so results are independent of
@@ -81,12 +83,14 @@ class VerifyConfig(namedtuple("VerifyConfig", "series_order tol samples seed tau
         h = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
         return random.Random(self.seed ^ h)
 
+    # rng.uniform(a, b) as CPython computes it, a + (b - a) * rng.random(), real part first
     def random_tau(self, rng) -> complex:
-        return complex(rng.uniform(*self.tau_re), rng.uniform(*self.tau_im))
+        (a, b), (c, d) = self.tau_re, self.tau_im
+        return complex(a + (b - a) * rng.random(), c + (d - c) * rng.random())
 
     @staticmethod
     def random_z(rng) -> complex:
-        return complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        return complex(-0.5 + 1.0 * rng.random(), -0.5 + 1.0 * rng.random())
 
 
 # status: pass | fail
@@ -356,18 +360,19 @@ CHAIN_FORMULAS = {
 }
 
 
-def _chain_side(tau, side, args) -> complex:
+def _chain_side(theta_k, tau, side, args) -> complex:
     key, products = side
     total = 0
     for sign, a, b in products:
         p = 1.0 + 0.0j
         for k, v in zip((a, b, b, b), args[key]):
-            p *= theta.theta_k(k, v, tau)
+            p *= theta_k(k, v, tau)
         total += p if sign > 0 else -p
     return total
 
 
 def _four_term(formula, cfg: VerifyConfig, rng):
+    theta_k = theta.theta_k
     lhs_side, rhs_side = formula
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
@@ -377,7 +382,7 @@ def _four_term(formula, cfg: VerifyConfig, rng):
         # 8; each keeps its own, since the order of the factors moves floats
         args = {"plain": (w, x, y, z), "primed": _primed(w, x, y, z), "sum": (s, x, y, z),
                 "pairs": (0, y + z, z + x, x + y), "pairs10": (0, x + y, y + z, z + x)}
-        yield _rel(_chain_side(tau, lhs_side, args), _chain_side(tau, rhs_side, args))
+        yield _rel(_chain_side(theta_k, tau, lhs_side, args), _chain_side(theta_k, tau, rhs_side, args))
 
 
 # The 25 addition formulas
@@ -396,13 +401,14 @@ ADDITION_FORMULAS = {11 + 5 * i + j: ((3 - i - 2 * j) % 5, (3 - i) % 5,
 
 
 def _addition_eq(formula, cfg: VerifyConfig, rng):
+    theta_k = theta.theta_k
     s, d, p, m = formula
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         x, y = cfg.random_z(rng), cfg.random_z(rng)
-        lhs = theta.theta_k(3, 0, tau) ** 2 * theta.theta_k(s, x + y, tau) * theta.theta_k(d, x - y, tau)
-        rhs = (theta.theta_k(p[0], x, tau) * theta.theta_k(p[1], x, tau) * theta.theta_k(p[2], y, tau) ** 2
-               - theta.theta_k(m[0], x, tau) ** 2 * theta.theta_k(m[1], y, tau) * theta.theta_k(m[2], y, tau))
+        lhs = theta_k(3, 0, tau) ** 2 * theta_k(s, x + y, tau) * theta_k(d, x - y, tau)
+        rhs = (theta_k(p[0], x, tau) * theta_k(p[1], x, tau) * theta_k(p[2], y, tau) ** 2
+               - theta_k(m[0], x, tau) ** 2 * theta_k(m[1], y, tau) * theta_k(m[2], y, tau))
         yield _rel(lhs, rhs)
 
 
@@ -422,12 +428,13 @@ def duplication_uniform_sign(tau: complex = 1.3j, z: complex = 0.21 + 0.11j) -> 
 def _duplication(family: str, last: int, cfg: VerifyConfig, rng):
     # theta3(0)^2 theta_last(0) theta(2z) = family(theta(z)); the family is
     # looked up at run time, so a replaced curve function is the one called
+    theta_k, theta_vector = theta.theta_k, theta.theta_vector
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         z = cfg.random_z(rng)
-        x = theta.theta_vector(z, tau)
-        x2 = theta.theta_vector(2 * z, tau)
-        pre = theta.theta_k(3, 0.0, tau) ** 2 * theta.theta_k(last, 0.0, tau)
+        x = theta_vector(z, tau)
+        x2 = theta_vector(2 * z, tau)
+        pre = theta_k(3, 0.0, tau) ** 2 * theta_k(last, 0.0, tau)
         for k, rhs in enumerate(getattr(curve, family)(x)):
             yield _rel(pre * x2[k], rhs)
 
@@ -451,22 +458,23 @@ _SHIFT_TABLE, _PARITY_TABLE = _transform_tables()
 
 
 def _theta_transforms(cfg: VerifyConfig, rng):
+    theta_k = theta.theta_k
     for _ in range(cfg.samples):
         tau = cfg.random_tau(rng)
         z = cfg.random_z(rng)
         # every right-hand side is theta_j(z) for a reduced index j: evaluate
         # each once per sample
-        at_z = [theta.theta_k(k, z, tau) for k in theta.INDICES]
+        at_z = [theta_k(k, z, tau) for k in theta.INDICES]
         for name, (shift, mult, _) in theta.shift_rules(tau).items():
             zs = z + shift
             shared = None if name in theta.K_ONLY_RULES else mult(None, z)
             for k, j, factor in _SHIFT_TABLE[name]:
-                lhs = theta.theta_k(k, zs, tau)
+                lhs = theta_k(k, zs, tau)
                 rhs = (shared if factor is None else factor) * at_z[j]
                 yield _rel(lhs, rhs)
         mz = -z
         for k, j, sign in _PARITY_TABLE:
-            yield _rel(theta.theta_k(k, mz, tau), sign * at_z[j])
+            yield _rel(theta_k(k, mz, tau), sign * at_z[j])
 
 
 def _theta_nullwerte(cfg: VerifyConfig, rng):

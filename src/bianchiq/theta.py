@@ -39,14 +39,17 @@ residuals the identity checks report depend on it.
 A sum has a tau part, ``_tau_part`` (tau, Im tau, the window's half-width),
 and a z part, ``_sum``, the one summation loop.  ``theta_k`` keeps the tau
 part of the last tau object it was given and reuses it while consecutive
-calls pass that same object.
+calls pass that same object.  A window wider than _MAX_WINDOW terms, or with
+an end that is not finite, raises ConvergenceError; a z that is not finite
+raises ValueError.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from cmath import exp, isfinite
 from fractions import Fraction
+from math import ceil, floor
 from operator import itemgetter
 
 TRUNCATION_RATIO = 1e-30
@@ -59,7 +62,8 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(ArithmeticError):
-    """The summation window would exceed the hard term-count cap."""
+    """The summation window would exceed the hard term-count cap, or has an
+    end that is not finite."""
 
 
 class CancellationError(ArithmeticError):
@@ -78,7 +82,7 @@ def theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0
 def _tau_part(tau: complex, extra: float = 0.0) -> tuple[complex, float, float]:
     """(tau, Im(tau), the window's half-width): what a sum needs at any z."""
     a = tau.imag
-    if a <= 0.0:
+    if not a > 0.0:  # NaN too
         raise DomainError(f"Im(tau) must be positive, got {a}")
     return tau, a, math.sqrt((_WINDOW_LOG + 8.0 + extra) / (math.pi * a)) + 1.0
 
@@ -86,14 +90,16 @@ def _tau_part(tau: complex, extra: float = 0.0) -> tuple[complex, float, float]:
 def _sum(p: float, c: float, z: complex, tau_part: tuple[complex, float, float]) -> complex:
     """The theta series with characteristic (p, c) at z and tau_part's tau."""
     tau, a, half = tau_part
-    b = z.imag
-    # |term(n)| = exp(-pi*a*u^2 + pi*b^2/a) with u = n + p + b/a
-    center = -b / a - p
-    n_min, n_max = math.floor(center - half), math.ceil(center + half)
+    # |term(n)| = exp(-pi*a*u^2 + pi*b^2/a) with u = n + p + b/a, b = Im z
+    center = -z.imag / a - p
+    try:
+        n_min, n_max = floor(center - half), ceil(center + half)
+    except (OverflowError, ValueError):  # an end at +-inf or NaN
+        raise _unsummable(z, center, half) from None
     if n_max - n_min > _MAX_WINDOW:
-        raise ConvergenceError(f"window of {n_max - n_min} terms exceeds cap; Im(tau) too small")
+        raise _unsummable(z, center, half, n_max - n_min)
     twice = 2.0 * (center - p)
-    cell = math.floor(twice)
+    cell = floor(twice)
     if _TIE_MARGIN < twice - cell < 1.0 - _TIE_MARGIN:
         key = (p, n_min, n_max, cell)
         terms = _ORDERS.get(key)
@@ -106,12 +112,23 @@ def _sum(p: float, c: float, z: complex, tau_part: tuple[complex, float, float])
         terms = _sorted_terms(p, n_min, n_max, center)
     total = 0.0 + 0.0j
     zc = z + c
-    exp = cmath.exp
     for tau_coeff, z_coeff in terms:
         total += exp(tau_coeff * tau + z_coeff * zc)
-    if not cmath.isfinite(total):
+    if not isfinite(total):
+        if not isfinite(z):
+            raise _unsummable(z, center, half)
         raise OverflowError("theta summation overflowed binary64")
     return total
+
+
+def _unsummable(z: complex, center: float, half: float, terms: int | None = None) -> Exception:
+    """ValueError for a z that is not finite, else ConvergenceError for a
+    window past the cap: by its term count, or by its half-width where the
+    count is unknown (an end not finite) or longer than 15 digits."""
+    if not isfinite(z):
+        return ValueError(f"z must be finite, got {z}")
+    size = f"{terms} terms" if terms and terms < 10**15 else f"half-width {half:.3g} about n = {center:.3g}"
+    return ConvergenceError(f"window of {size} exceeds cap; Im(tau) too small")
 
 
 _IPI = 1j * math.pi
@@ -166,12 +183,13 @@ def theta_k(k, z: complex, tau: complex) -> complex:
     p = _CHARACTERISTIC.get(k)
     if p is None:
         p = _CHARACTERISTIC[reduce_index(k)]
-    z = 5 * complex(z)
-    tau = complex(tau)
+    # complex() returns a complex argument itself: call it only on other types
+    z = z if type(z) is complex else complex(z)
+    tau = tau if type(tau) is complex else complex(tau)
     last = _last_tau
     if last[0] is not tau:  # identity, not ==: taus equal but for a zero's sign stay apart
         last = _last_tau = (tau, _tau_part(5 * tau))
-    return _sum(p, 2.5, z, last[1]) / 1j
+    return _sum(p, 2.5, 5 * z, last[1]) / 1j
 
 
 def theta_vector(z: complex, tau: complex) -> tuple[complex, ...]:
@@ -239,9 +257,9 @@ def shift_rules(tau: complex) -> dict:
     tau = complex(tau)
     return {
         "z+1": (1.0, lambda k, z: -1.0 if float(k).is_integer() else 1.0, 0),
-        "z+tau": (tau, lambda k, z: -cmath.exp(-5 * ipi * tau - 10 * ipi * z), 0),
-        "z+1/5": (0.2, lambda k, z: -cmath.exp(-2j * math.pi * float(k) / 5), 0),
-        "z+tau/10": (tau / 10, lambda k, z: -1j * cmath.exp(-ipi * tau / 20 - ipi * z), 0.5),
-        "z+tau/5": (tau / 5, lambda k, z: -cmath.exp(-ipi * tau / 5 - 2 * ipi * z), 1),
-        "z+2tau/5": (2 * tau / 5, lambda k, z: cmath.exp(-4 * ipi * tau / 5 - 4 * ipi * z), 2),
+        "z+tau": (tau, lambda k, z: -exp(-5 * ipi * tau - 10 * ipi * z), 0),
+        "z+1/5": (0.2, lambda k, z: -exp(-2j * math.pi * float(k) / 5), 0),
+        "z+tau/10": (tau / 10, lambda k, z: -1j * exp(-ipi * tau / 20 - ipi * z), 0.5),
+        "z+tau/5": (tau / 5, lambda k, z: -exp(-ipi * tau / 5 - 2 * ipi * z), 1),
+        "z+2tau/5": (2 * tau / 5, lambda k, z: exp(-4 * ipi * tau / 5 - 4 * ipi * z), 2),
     }

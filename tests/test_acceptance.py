@@ -282,18 +282,23 @@ def test_criterion_12_the_benchmark_worker_runs_on_the_package():
     """One traced pass of perfbench/worker.py, as the benchmark starts it:
     the worker and its tracer bind to the package by name (the registry,
     ``SeriesEnv(cfg).order``, every layer's public functions and the exact
-    classes' methods), so a binding that broke fails here."""
-    _, expected = _recorded_answers()
+    classes' methods), so a binding that broke fails here.  Its numeric
+    op's theta_k calls must each leave a span."""
+    ops, expected = _recorded_answers()
     root = PERFBENCH.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    job = json.dumps({"ops": [{"build": "phi"}, {"check": "sym-e1", "mutate": False}],
+    job = json.dumps({"ops": [{"build": "phi"}, {"check": "sym-e1", "mutate": False},
+                              {"check": "addition-eq11", "mutate": False}],
                       "seed": 1, "pass_id": 0, "trace": True})
     proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "pass", repr(time.perf_counter())],
                           input=job, capture_output=True, text=True, env=env, cwd=root, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["error"] is None
-    assert [op["status"] for op in out["ops"]] == [expected["build"]["phi"], "pass"]
+    assert [op["status"] for op in out["ops"]] == [expected["build"]["phi"], "pass", "pass"]
     names = out["trace"]["names"]
     assert "identities.run_identity" in names and "exact.mul" in names
-    _report(12, f"traced worker pass: phi build digest, sym-e1 pass, {len(names)} traced names")
+    # nine theta_k calls per sample: a numeric body that bypassed the traced
+    # theta_k would zero the per-layer theta figures without failing an op
+    assert names["theta.theta_k"]["calls"] == 9 * ops.NUMERIC_SAMPLES == 1800
+    _report(12, f"traced worker pass: phi build digest, sym-e1 and addition-eq11 pass, {len(names)} traced names")

@@ -323,6 +323,9 @@ class TestPoint:
         (("on-curve", "[[1,0],[0,0],[0,0],[0,0],[0,0]]", "--phi", "0"), "1/phi"),
         # phi^3 leaves binary64
         (("two-torsion", "--phi", "1e300"), "exponentiation"),
+        # the theta window's half-width overflows binary64, or its term count has 150 digits
+        (("five-torsion", "--tau=1e-320i"), "window of half-width inf about n = -0.3 exceeds cap"),
+        (("five-torsion", "--tau=1e-300i"), "window of half-width 2.22e+150 about n = -0.3 exceeds cap"),
     ])
     def test_parameter_outside_usable_region_exits_2(self, capsys, argv, reason):
         rc, out, err = run_cli(capsys, "point", *argv)

@@ -2,6 +2,7 @@
 over both coefficient domains."""
 
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -288,6 +289,29 @@ class TestCubicRoots:
             assert abs(a * b + b * c + c * a - t) < 1e-12 * (abs(a * b) + abs(b * c) + abs(c * a)), phi
             assert abs(a * b * c + t) < 1e-12 * abs(a * b * c), phi
             assert list(roots) == sorted(roots, key=lambda v: (v.real, v.imag))
+
+    # sha256 of the float.hex of each root's parts at 20 seeded box tau
+    ROOTS_DIGEST = "9aab6b7a31e0e7a50705df15553287fc59e66e9c69ae3b0fcb93f51bdc4f6cb3"
+
+    def test_numeric_roots_keep_their_bits(self):
+        # Newton polishing repairs a wrong Cardano seed inside the box up to
+        # the last bits, which only a pin of the bits sees: Cardano's
+        # q = 5t/3 - 2/27 and a Newton derivative 4x - 2 pass every other test
+        rng = random.Random(1815)
+        lines = []
+        for _ in range(20):
+            phi = phi_numeric(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0)))
+            lines += [f"{r.real.hex()} {r.imag.hex()}" for r in curve.cubic_roots(phi)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.ROOTS_DIGEST
+
+    @pytest.mark.parametrize("tau", [0.05j, 0.03j, 0.1j])
+    def test_roots_solve_the_cubic_outside_the_box(self, tau):
+        # phi^5 is near the root of W here, where the cubic has a near-double
+        # root; a wrong seed left |cubic| = 1.3e-4 at 0.05i
+        phi = phi_numeric(tau)
+        t = phi ** 5
+        for x in curve.cubic_roots(phi):
+            assert abs(curve.cubic(x, t)) <= 1e-15
 
     def test_series_domain_returns_g(self):
         phi = named_series("phi", 15)

@@ -4,6 +4,7 @@ q-Pochhammer builder, and exact polynomials."""
 import math
 import operator
 import random
+import struct
 from fractions import Fraction as F
 from functools import reduce
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchiq import exact
+from bianchiq import curve, exact
 from bianchiq.exact import (
     OrderExceeded,
     PuiseuxSeries,
@@ -21,6 +22,8 @@ from bianchiq.exact import (
     _of,
     pochhammer_product,
 )
+from bianchiq.modular import named_series
+from bianchiq.theta import phi_numeric
 
 from conftest import brute_force_product, dict_add, dict_mul
 
@@ -282,6 +285,50 @@ class TestQPoly:
         p = QPoly([1, 0, -2])
         assert p(F(1, 2)) == F(1, 2)
         assert abs(p(1j) - (1 + 2)) < 1e-15
+
+
+def fraction_horner(p, x):
+    """Horner's rule on the Fraction coefficients, each step acc * x + c:
+    at a complex x that goes through Fraction.__radd__."""
+    acc = None
+    for c in reversed(p.coeffs):
+        acc = x * 0 + c if acc is None else acc * x + c
+    return acc
+
+
+QPOLYS = {"P20": curve.P20, "P30": curve.P30, "A": curve.WEIERSTRASS_A, "B": curve.WEIERSTRASS_B,
+          "non-dyadic": QPoly([F(-1, 3), F(2, 7), 0, F(-5, 11), F(-22, 9), F(1, 3)]),
+          # at x = inf a first step without x * 0 would leave inf, not NaN, in the real part
+          "linear": QPoly([F(-1, 3), F(2, 7)])}
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<2d", z.real, z.imag)
+
+
+@pytest.mark.parametrize("name", sorted(QPOLYS))
+def test_qpoly_at_complex_points_keeps_the_fraction_horner_bits(name):
+    rng = random.Random(97)
+    box_phis = [phi_numeric(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))) for _ in range(20)]
+    p = QPoly(QPOLYS[name].coeffs)  # a fresh copy: its first call makes the float tuple
+    edges = [0j, complex(-0.0, 0.0), complex(-0.0, -0.0), 1e-200j, complex(1e100, 1), -3 + 0.5j,
+             complex("inf"), complex(0.5, float("nan"))]
+    for x in edges + box_phis:
+        want = _bits(fraction_horner(p, x))
+        first, again = p(x), p(x)
+        assert type(first) is complex and _bits(first) == want and _bits(again) == want, x
+
+
+@pytest.mark.parametrize("name", sorted(QPOLYS))
+def test_qpoly_at_exact_and_series_points_stays_exact(name):
+    p = QPOLYS[name]
+    for x in (F(-2, 3), F(5, 4), 3, -1, 0):
+        got = p(x)
+        assert type(got) is F and got == sum(c * F(x) ** i for i, c in enumerate(p.coeffs))
+    assert type(p(0.5)) is float and p(0.5) == fraction_horner(p, 0.5)
+    phi = named_series("phi", 12)
+    want = sum((c * phi ** i for i, c in enumerate(p.coeffs) if c), PuiseuxSeries.zero(phi.order))
+    assert p(phi) == want
 
 
 # -- differential test of the integer kernel ---------------------------------

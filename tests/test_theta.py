@@ -118,6 +118,45 @@ class TestThetaK:
                     assert rel(lhs, rhs) < 1e-10
 
 
+class TestWindowsThatAreNotFinite:
+    """A window end at +-inf or NaN, which floor and ceil cannot take,
+    raises ConvergenceError, or ValueError naming z when z is not finite;
+    a window past the cap whose count would print past 15 digits shows its
+    half-width instead."""
+
+    @pytest.mark.parametrize("z", [complex("inf"), complex("nan"), complex(0.0, float("inf")),
+                                   complex("-inf"), complex(0.1, float("nan"))])
+    def test_z_that_is_not_finite_raises_value_error_naming_it(self, z):
+        for fn, args in ((theta_k, (1, z, 1.1j)), (theta_char, (0.3, 2.5, z, 1.1j))):
+            with pytest.raises(ValueError, match="z must be finite") as info:
+                fn(*args)
+            assert not isinstance(info.value, ConvergenceError)
+
+    @pytest.mark.parametrize("tau", [1e-320j, 5e-324j, complex(0.2, 1e-310)])
+    def test_infinite_half_width_raises_convergence_error(self, tau):
+        # 5 * Im(tau) is subnormal, and the half-width sqrt(.../(pi * a)) overflows
+        with pytest.raises(ConvergenceError, match=r"half-width inf about n = -0\.3 exceeds cap"):
+            theta_k(1, 0, tau)
+
+    def test_a_center_past_binary64_raises_convergence_error(self):
+        # finite half-width, but Im z / Im tau overflows
+        with pytest.raises(ConvergenceError, match=r"half-width 4\.95e\+150 about n = -inf exceeds cap"):
+            theta_char(0.3, 2.5, complex(0.0, 1e10), 1e-300j)
+
+    def test_a_huge_window_prints_its_half_width(self):
+        with pytest.raises(ConvergenceError) as info:
+            theta_k(1, 0.0, 1e-300j)
+        assert str(info.value) == "window of half-width 2.22e+150 about n = -0.3 exceeds cap; Im(tau) too small"
+
+    def test_a_countable_window_past_the_cap_keeps_its_count(self):
+        with pytest.raises(ConvergenceError, match="^window of 9906475 terms exceeds cap"):
+            theta_char(0.5, 0.5, 0.0, 1e-12j)
+
+    def test_nan_tau_is_outside_the_upper_half_plane(self):
+        with pytest.raises(DomainError, match="got nan"):
+            theta_k(1, 0.1, complex(0.2, float("nan")))
+
+
 # Each of the ten reduced indices, spelled as the callers spell it and
 # shifted out of [0, 5) both ways.
 INDEX_SPELLINGS = [
