@@ -35,6 +35,9 @@ ORDER_ENV = "BIANCHIQ_ORDER"
 # an input point of `point add` or `point double` may have.
 ON_CURVE_TOL = 1e-8
 
+# Each `point` op and the number of point arguments it takes.
+_POINT_ARITY = {"add": 2, "double": 1, "neg": 1, "on-curve": 1, "two-torsion": 0, "five-torsion": 0}
+
 
 def _default_order() -> int:
     text = os.environ.get(ORDER_ENV, "30")
@@ -101,11 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="print a named q-expansion")
+    p.set_defaults(run=_cmd_expand)
     p.add_argument("name", help=f"one of {', '.join(modular.NAMES)}")
     p.add_argument("--order", default=None, help="exponent bound (integer or fraction)")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify", help="run identity checks")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("names", nargs="*", help="check names (default: requires --all)")
     p.add_argument("--all", action="store_true", help="run the full registry")
     p.add_argument("--order", type=int, default=None, help="series order for exact checks")
@@ -115,19 +120,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("point", help="curve arithmetic over the complex numbers")
-    p.add_argument("op", choices=("add", "double", "neg", "on-curve", "two-torsion", "five-torsion"))
+    p.set_defaults(run=_cmd_point)
+    p.add_argument("op", choices=_POINT_ARITY)
     p.add_argument("points", nargs="*", help="points as JSON arrays of five [re, im] pairs")
     where = p.add_mutually_exclusive_group(required=True)
     where.add_argument("--tau", default=None, help="tau in the upper half-plane, e.g. 1.1i or 0.3+1.4i")
     where.add_argument("--phi", default=None, help="curve parameter as a complex literal")
 
     p = sub.add_parser("group", help="congruence-subgroup invariants")
+    p.set_defaults(run=_cmd_group)
     p.add_argument("name", nargs="?", default=None,
                    help="e.g. Gamma(10), Gamma0(5), Gamma1(5), G1..G4")
     p.add_argument("--dot", action="store_true", help="emit the function-field lattice in DOT")
     p.add_argument("-N", type=int, default=10, help="working modulus (default 10)")
 
-    sub.add_parser("list", help="print the catalogs of series, identities, and groups")
+    sub.add_parser("list", help="print the catalogs of series, identities, and groups").set_defaults(run=_cmd_list)
     return ap
 
 
@@ -184,10 +191,9 @@ def _cmd_point(args) -> int:
 def _point_op(args, phi) -> int:
     pts = [_parse_point(s) for s in args.points]
     op = args.op
-    if op in ("double", "neg", "on-curve") and len(pts) != 1:
-        raise ValueError(f"{op} needs exactly one point argument")
-    if op == "add" and len(pts) != 2:
-        raise ValueError("add needs exactly two point arguments")
+    n = _POINT_ARITY[op]
+    if len(pts) != n:
+        raise ValueError(f"{op} takes {('no', 'one', 'two')[n]} point argument{'s' * (n != 1)}, got {len(pts)}")
     if op in ("add", "double"):
         for text, p in zip(args.points, pts):
             res = curve.max_quadric_residual(p, phi)
@@ -287,15 +293,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors and 0 for --help
         return int(exc.code or 0)
-    handler = {
-        "expand": _cmd_expand,
-        "verify": _cmd_verify,
-        "point": _cmd_point,
-        "group": _cmd_group,
-        "list": _cmd_list,
-    }[args.command]
     try:
-        return handler(args)
+        return args.run(args)
     except curve.BothFormulasDegenerate as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

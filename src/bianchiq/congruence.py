@@ -136,36 +136,20 @@ def gamma0(n: int) -> SubgroupSpec:
     return SubgroupSpec.from_predicate(f"Gamma0({n})", n, lambda a, b, c, d: c % n == 0)
 
 
-def _g1_spec() -> SubgroupSpec:
-    return SubgroupSpec.from_predicate(
-        "G1", 10, lambda a, b, c, d: a % 10 == 1 and d % 10 == 1 and b % 2 == 0 and c % 10 == 0
-    )
-
-
-def _g2_spec() -> SubgroupSpec:
+# The four level-10 groups G1..G4, each a congruence predicate mod 10.
+_LEVEL10 = {
+    "G1": lambda a, b, c, d: a % 10 == 1 and d % 10 == 1 and b % 2 == 0 and c % 10 == 0,
     # The index-2 subgroup of Gamma1(5) fixing the alternating function of
     # the cubic roots: elements of Gamma1(5) reducing mod 2 into the unique
     # order-3 subgroup {I, (0,1;1,1), (1,1;1,0)} of SL2(Z/2) (identity or
     # odd trace).  No set of independent entrywise congruences cuts out
     # this group; the G2 regression test pins the nearest entrywise variant
     # as a different, genus-0 group.
-    return SubgroupSpec.from_predicate(
-        "G2", 10,
-        lambda a, b, c, d: (a - 1) % 5 == 0 and (d - 1) % 5 == 0 and c % 5 == 0
+    "G2": lambda a, b, c, d: (a - 1) % 5 == 0 and (d - 1) % 5 == 0 and c % 5 == 0
         and ((a + d) % 2 == 1 or (a % 2, b % 2, c % 2, d % 2) == (1, 0, 0, 1)),
-    )
-
-
-def _g3_spec() -> SubgroupSpec:
-    return SubgroupSpec.from_predicate(
-        "G3", 10, lambda a, b, c, d: a % 10 == 1 and d % 10 == 1 and b % 5 == 0 and c % 10 == 0
-    )
-
-
-def _g4_spec() -> SubgroupSpec:
-    return SubgroupSpec.from_residues(
-        "G4", 10, [(1, 0, 0, 1), (1, 5, 5, 6), (6, 5, 5, 1)]
-    )
+    "G3": lambda a, b, c, d: a % 10 == 1 and d % 10 == 1 and b % 5 == 0 and c % 10 == 0,
+    "G4": lambda a, b, c, d: (a, b, c, d) in {(1, 0, 0, 1), (1, 5, 5, 6), (6, 5, 5, 1)},
+}
 
 
 _builtin_cache: dict[str, SubgroupSpec] = {}
@@ -176,15 +160,9 @@ def builtin_specs() -> dict[str, SubgroupSpec]:
     the four level-10 groups G1..G4, and the two stated intersections."""
     if _builtin_cache:
         return dict(_builtin_cache)
-    specs = {}
-    for n in (1, 2, 5, 10):
-        specs[f"Gamma({n})"] = gamma(n)
-        specs[f"Gamma1({n})"] = gamma1(n)
-        specs[f"Gamma0({n})"] = gamma0(n)
-    specs["G1"] = _g1_spec()
-    specs["G2"] = _g2_spec()
-    specs["G3"] = _g3_spec()
-    specs["G4"] = _g4_spec()
+    specs = {s.name: s for n in (1, 2, 5, 10) for s in (gamma(n), gamma1(n), gamma0(n))}
+    for name, pred in _LEVEL10.items():
+        specs[name] = SubgroupSpec.from_predicate(name, 10, pred)
     specs["Gamma(2)&Gamma1(5)"] = specs["Gamma(2)"].intersect(specs["Gamma1(5)"])
     specs["Gamma0(2)&Gamma(5)"] = specs["Gamma0(2)"].intersect(specs["Gamma(5)"])
     _builtin_cache.update(specs)

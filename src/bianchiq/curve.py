@@ -14,10 +14,10 @@ Curve, for a parameter phi:
 with neutral element O = (0 : phi : -1 : 1 : -phi) and inversion
 (x0:x1:x2:x3:x4) -> (x0:x4:x3:x2:x1).
 
-The result is stated through two polynomials in t = phi^5, written once
-here for series, ``QPoly`` and complex arguments alike: ``cubic(xi, t)``,
-whose roots are g1, g2 and g3, and ``disc_factor(t)`` = W, the factor of
-the cubic's discriminant 4 phi^5 W.
+The result is stated through polynomials in t = phi^5, written once here
+for series, ``QPoly`` and complex arguments alike: ``cubic(xi, t)`` with
+roots g1, g2 and g3, ``disc_factor(t)`` = W with the cubic's discriminant
+4 t W, and the Weierstrass coefficients ``p20(t)`` = -48 A, ``p30(t)`` = 864 B.
 
 The Weierstrass map's Y-coordinate admits near-miss transcriptions (a
 dropped coefficient 11 in the numerator, a halved prefactor, a doubled
@@ -25,9 +25,9 @@ x0-coefficient in one denominator) that still vanish on 2-torsion and so
 evade casual spot checks.  ``weierstrass_map`` computes the forms that
 satisfy Y^2 = X^3 + A X + B exactly in the series domain;
 ``weierstrass_map_variant`` runs the same body with the near-miss
-coefficients as a mutation control.  The sign-variant discriminant
-factorization is the mutant of the ``weierstrass-discriminant`` check in
-the identities module.
+coefficients as a mutation control.  The sign variant W + 2 t^2 of the
+discriminant factor is the mutant of both exact-poly checks in the
+identities module.
 """
 
 from __future__ import annotations
@@ -104,23 +104,24 @@ def _size(P) -> float:
 _QUADRICS = tuple((k, (k + 2) % 5, (k - 2) % 5, (k + 1) % 5, (k - 1) % 5) for k in range(5))
 
 
+def _quadric_monomials(P, phi):
+    """(x_k^2, phi x_i x_j, (1/phi) x_l x_m), whose a + b - c is quadric k."""
+    inv = 1 / phi
+    return [(P[k] * P[k], phi * P[i] * P[j], inv * P[l] * P[m]) for k, i, j, l, m in _QUADRICS]
+
+
 def quadric_residuals(P, phi):
     """The five quadric values; P lies on the curve iff all are zero."""
     if _vanishes((phi,)):
         raise ZeroDivisionError("phi fails the zero test; the quadrics need 1/phi")
-    inv = 1 / phi
-    return tuple(P[k] * P[k] + phi * P[i] * P[j] - inv * P[l] * P[m] for k, i, j, l, m in _QUADRICS)
+    return tuple(a + b - c for a, b, c in _quadric_monomials(P, phi))
 
 
 def max_quadric_residual(P, phi) -> float:
     """Largest residual relative to the largest monomial, numeric domain;
     NaN when a coordinate is NaN."""
-    inv = 1 / phi
     worst = 0.0
-    for k, i, j, l, m in _QUADRICS:
-        a = P[k] * P[k]
-        b = phi * P[i] * P[j]
-        c = inv * P[l] * P[m]
+    for a, b, c in _quadric_monomials(P, phi):
         worst = _worse(worst, abs(a + b - c) / max(abs(a), abs(b), abs(c), 1e-300))
     return worst
 
@@ -220,9 +221,12 @@ def multiply(P, n: int):
 def projective_distance(P, Q) -> float:
     """1 - |<P,Q>|^2 / (|P|^2 |Q|^2): scale-invariant, 0 iff proportional,
     NaN when a coordinate is NaN."""
-    ip = sum(p * q.conjugate() for p, q in zip(P, Q))
-    n1 = sum(abs(p) ** 2 for p in P)
-    n2 = sum(abs(q) ** 2 for q in Q)
+    # left folds from 0, not sum(), which compensates float sums from 3.12 on
+    ip = n1 = n2 = 0
+    for p, q in zip(P, Q):
+        ip += p * q.conjugate()
+        n1 += abs(p) ** 2
+        n2 += abs(q) ** 2
     return _worse(0.0, 1.0 - abs(ip) ** 2 / (n1 * n2))
 
 
@@ -298,6 +302,16 @@ def disc_factor(t):
     return 1 - 11 * t - t * t
 
 
+def p20(t):
+    """-48 A at t = phi^5; its cube is j t W^5."""
+    return t ** 4 - 228 * t ** 3 + 494 * t ** 2 + 228 * t + 1
+
+
+def p30(t):
+    """864 B at t = phi^5."""
+    return t ** 6 + 522 * t ** 5 - 10005 * t ** 4 - 10005 * t ** 2 - 522 * t + 1
+
+
 def curve_discriminant_value(phi):
     """4 phi^5 W(phi^5): vanishes exactly on singular fibers."""
     t = phi ** 5
@@ -310,11 +324,7 @@ def two_torsion_points(phi):
     if _vanishes((curve_discriminant_value(phi),)):
         raise SingularCurve("discriminant zero test fired; 2-torsion is degenerate")
     phi3 = phi ** 3
-    pts = []
-    for g in cubic_roots(phi):
-        x0 = phi3 + phi3 / g
-        pts.append((x0, phi, g, g, phi))
-    return tuple(pts)
+    return tuple((phi3 + phi3 / g, phi, g, g, phi) for g in cubic_roots(phi))
 
 
 def five_torsion_points(phi: complex):
@@ -376,8 +386,8 @@ def plane_model_residual(model: str, coords, phi=None):
 
 # -- Weierstrass form -------------------------------------------------------
 
-P20 = QPoly.from_terms({20: 1, 15: -228, 10: 494, 5: 228, 0: 1})
-P30 = QPoly.from_terms({30: 1, 25: 522, 20: -10005, 10: -10005, 5: -522, 0: 1})
+P20 = p20(QPoly.from_terms({5: 1}))
+P30 = p30(QPoly.from_terms({5: 1}))
 WEIERSTRASS_A = P20 * Fraction(-1, 48)
 WEIERSTRASS_B = P30 * Fraction(1, 864)
 

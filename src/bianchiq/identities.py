@@ -10,7 +10,8 @@ Three kinds of check:
   A mutant adds q^7 to that input, and ``run_identity`` looks for its
   first failure at the short target q^10 before the configured order: a
   nonzero coefficient there is the least one at any order.
-* ``exact_poly``: an exact polynomial equality over Q.
+* ``exact_poly``: polynomials over Q that must be zero, each a row of
+  ``_EXACT_POLY``.  The mutant of every row is W's sign variant W + 2 t^2.
 * ``numeric``: a theta-function identity sampled at seeded random points in
   the configured tau box.  Its runner, ``runner(cfg, rng)``, is a generator
   of relative residuals, one or more per sample.  ``run_identity`` alone
@@ -25,8 +26,8 @@ execution order.  Where an identity admits a near-miss variant (a flipped
 nullwert cube in the uniform duplication line, a sign-variant discriminant
 factor, near-miss Weierstrass Y expressions), the registry checks the form
 that actually verifies and the variant is kept as a mutation control; see
-``duplication_uniform_sign``, the mutant of ``weierstrass-discriminant``
-and ``curve.weierstrass_map_variant``.  The registry is built once, at
+``duplication_uniform_sign``, the mutant of both exact-poly checks and
+``curve.weierstrass_map_variant``.  The registry is built once, at
 import.
 """
 
@@ -278,9 +279,7 @@ _EXACT_SERIES = {
     "weber-model": (("g1", "phi"), lambda g1, phi: [curve.plane_model_residual("weber", (-g1, -phi))], "g1",
                     "y^5=(x+1)x^2(x-1)^(-1) at (x,y)=(-g1,-phi)"),
     # j phi^5 W^5 = P20^3, with j built independently from E4 and eta^24
-    "j-cross-check": (("j", "phi5"),
-                      lambda j, t: [j * (t * curve.disc_factor(t) ** 5)
-                                    - (t ** 4 - 228 * t ** 3 + 494 * t ** 2 + 228 * t + 1) ** 3],
+    "j-cross-check": (("j", "phi5"), lambda j, t: [j * (t * curve.disc_factor(t) ** 5) - curve.p20(t) ** 3],
                       "j", "j against P20^3 over the curve discriminant"),
 }
 
@@ -288,44 +287,35 @@ _EXACT_SERIES = {
 # -- exact-poly checks --------------------------------------------------------
 
 
-def _poly_weier_disc(mutate: bool = False):
-    # the mutant is the near-miss sign variant W + 2 phi^10 = 1 - 11 phi^5 +
-    # phi^10 of the inner factor, which agrees with W at phi^5 = 0
-    t = QPoly.from_terms({5: 1})
-    inner = curve.disc_factor(t)
-    if mutate:
-        inner = inner + 2 * t * t
-    lhs = (curve.P20 ** 3 - curve.P30 ** 2) / 1728
-    return lhs == t * inner ** 5
-
-
-def _poly_cubic_disc(mutate: bool = False):
-    # discriminant of x^3 + a x^2 + b x + c with a=-1, b=c=phi^5:
-    # 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2
-    t = QPoly.from_terms({5: 1})
-    a = QPoly.from_terms({0: -1})
-    b = c = t
+def _cubic_disc(t, w):
+    # discriminant 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2 of x^3 + a x^2 + b x + c
+    # at a=-1, b=c=phi^5, against 4 phi^5 W and -4 phi^5 f1 f2 f3
+    a, b, c = -1, t, t
     disc = 18 * a * b * c - 4 * a ** 3 * c + a ** 2 * b ** 2 - 4 * b ** 3 - 27 * c ** 2
-    closed = 4 * t * curve.disc_factor(t)
-    if mutate:
-        closed = closed + QPoly.from_terms({10: 1})
     f1 = QPoly([-1, 1, 1])      # phi^2 + phi - 1
     f2 = QPoly([1, -2, 4, -3, 1])
     f3 = QPoly([1, 3, 4, 2, 1])
-    factored = -4 * t * f1 * f2 * f3
-    return disc == closed and disc == factored
+    return [disc - 4 * t * w, disc + 4 * t * f1 * f2 * f3]
 
 
+# name: (residual, description).  A residual takes t = phi^5 as a QPoly and
+# W = curve.disc_factor(t), and returns the polynomials that must vanish.
 _EXACT_POLY = {
-    "weierstrass-discriminant": (
-        _poly_weier_disc,
-        "(P20^3 - P30^2)/1728 = phi^5 (1-11 phi^5-phi^10)^5",
-    ),
+    "weierstrass-discriminant": (lambda t, w: [(curve.P20 ** 3 - curve.P30 ** 2) / 1728 - t * w ** 5],
+                                 "(P20^3 - P30^2)/1728 = phi^5 (1-11 phi^5-phi^10)^5"),
     "cubic-discriminant-factorization": (
-        _poly_cubic_disc,
-        "cubic discriminant 4 phi^5 (1-11 phi^5-phi^10) and its three-factor form",
-    ),
+        _cubic_disc, "cubic discriminant 4 phi^5 (1-11 phi^5-phi^10) and its three-factor form"),
 }
+
+
+def _run_poly(residual, mutate: bool = False):
+    """An exact-poly check's residuals; its mutant passes W's near-miss sign
+    variant W + 2 t^2 = 1 - 11 t + t^2, which agrees with W at t = 0."""
+    t = QPoly.from_terms({5: 1})
+    w = curve.disc_factor(t)
+    if mutate:
+        w = w + 2 * t * t
+    return residual(t, w)
 
 
 # -- numeric check bodies ------------------------------------------------------
@@ -571,8 +561,8 @@ def _build_registry() -> tuple[IdentityCheck, ...]:
     checks = []
     for name, (inputs, residual, target, desc) in _EXACT_SERIES.items():
         checks.append(IdentityCheck(name, "exact_series", desc, partial(_run_row, inputs, residual), target))
-    for name, (fn, desc) in _EXACT_POLY.items():
-        checks.append(IdentityCheck(name, "exact_poly", desc, fn))
+    for name, (residual, desc) in _EXACT_POLY.items():
+        checks.append(IdentityCheck(name, "exact_poly", desc, partial(_run_poly, residual)))
     for name, (fn, desc) in _NUMERIC.items():
         checks.append(IdentityCheck(name, "numeric", desc, fn))
     return tuple(sorted(checks, key=lambda c: c.name))
@@ -624,7 +614,7 @@ def run_identity(name: str, cfg: VerifyConfig | None = None, *, mutate: bool = F
                 return CheckResult(name, check.kind, "fail", first_failing_exponent=str(bad), order=order)
         return CheckResult(name, check.kind, "pass", order=order)
     if check.kind == "exact_poly":
-        ok = check.runner(mutate)
+        ok = all(r.is_zero() for r in check.runner(mutate))
         return CheckResult(name, check.kind, "pass" if ok else "fail",
                            first_failing_exponent=None if ok else "poly", order="exact")
     if mutate:
@@ -636,12 +626,14 @@ def run_identity(name: str, cfg: VerifyConfig | None = None, *, mutate: bool = F
 
 
 def run_all(cfg: VerifyConfig | None = None, names=None) -> Report:
-    """Run every check (or the named subset), deterministically."""
+    """Run every check (or the named subset, each name once), deterministically."""
     cfg = cfg or VerifyConfig()
     selected = check_names() if names is None else tuple(names)
-    for n in selected:
+    for i, n in enumerate(selected):
         if n not in _BY_NAME:
             raise UnknownName(n)
+        if n in selected[:i]:
+            raise ValueError(f"check {n!r} is named more than once")
     t0 = time.perf_counter()
     results = tuple(run_identity(n, cfg) for n in sorted(selected))
     elapsed = (time.perf_counter() - t0) * 1000.0

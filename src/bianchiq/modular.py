@@ -19,10 +19,23 @@ from fractions import Fraction
 
 from .exact import PuiseuxSeries, pochhammer_product
 
-# name -> leading exponent; an order at or below it holds no coefficient
-LEADING = {"phi": Fraction(1, 5), "phi5": 1, "g1": 0, "g2": Fraction(1, 2), "g3": Fraction(1, 2),
-           "delta": Fraction(1, 2), "j5": -1, "j10": -1, "j": -1, "eta": Fraction(1, 24), "neg_g2_2tau": 1}
-NAMES = tuple(LEADING)
+# name -> (leading exponent, builder at an order).  A builder looks its function
+# up by name when it runs, so a replacement set on the module is the one called.
+_CATALOG = {
+    "phi": (Fraction(1, 5), lambda o: phi_series(o)),
+    "phi5": (1, lambda o: (named_series("phi", o + 1) ** 5).reduce_ram().truncate(o)),
+    "g1": (0, lambda o: gi_series(1, o)),
+    "g2": (Fraction(1, 2), lambda o: gi_series(2, o)),
+    "g3": (Fraction(1, 2), lambda o: gi_series(3, o)),
+    "delta": (Fraction(1, 2), lambda o: delta_series(o)),
+    "j5": (-1, lambda o: eta_quotient_series([(1, 6), (5, -6)], o)),
+    "j10": (-1, lambda o: eta_quotient_series([(2, 1), (5, 5), (1, -1), (10, -5)], o)),
+    "j": (-1, lambda o: j_series(o)),
+    "eta": (Fraction(1, 24), lambda o: eta_series(o)),
+    "neg_g2_2tau": (1, lambda o: (-named_series("g2", o / 2 + 1).subst_q_power(2)).reduce_ram().truncate(o)),
+}
+LEADING = {name: lead for name, (lead, _) in _CATALOG.items()}
+NAMES = tuple(_CATALOG)
 
 ROGERS_RAMANUJAN_FACTORS = ((1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1))
 
@@ -106,28 +119,6 @@ def j_series(order) -> PuiseuxSeries:
     return (e4 ** 3 / eta24).reduce_ram().truncate(order)
 
 
-def _build(name: str, order: Fraction) -> PuiseuxSeries:
-    if name == "phi":
-        return phi_series(order)
-    if name == "phi5":
-        return (named_series("phi", order + 1) ** 5).reduce_ram().truncate(order)
-    if name in ("g1", "g2", "g3"):
-        return gi_series(int(name[1]), order)
-    if name == "delta":
-        return delta_series(order)
-    if name == "j5":
-        return eta_quotient_series([(1, 6), (5, -6)], order)
-    if name == "j10":
-        return eta_quotient_series([(2, 1), (5, 5), (1, -1), (10, -5)], order)
-    if name == "j":
-        return j_series(order)
-    if name == "eta":
-        return eta_series(order)
-    if name == "neg_g2_2tau":
-        return (-named_series("g2", order / 2 + 1).subst_q_power(2)).reduce_ram().truncate(order)
-    raise UnknownName(name)
-
-
 _cache: dict[str, PuiseuxSeries] = {}
 
 
@@ -143,5 +134,5 @@ def named_series(name: str, order=30) -> PuiseuxSeries:
     order = _checked(name, order)
     hit = _cache.get(name)
     if hit is None or hit.order < order:
-        hit = _cache[name] = _build(name, order)
+        hit = _cache[name] = _CATALOG[name][1](order)
     return hit.truncate(order)

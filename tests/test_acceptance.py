@@ -301,4 +301,8 @@ def test_criterion_12_the_benchmark_worker_runs_on_the_package():
     # nine theta_k calls per sample: a numeric body that bypassed the traced
     # theta_k would zero the per-layer theta figures without failing an op
     assert names["theta.theta_k"]["calls"] == 9 * ops.NUMERIC_SAMPLES == 1800
+    # the series catalog builds through the module names the tracer wraps:
+    # phi cold and again at gi_series's deeper order, then g1, g2 and g3
+    builds = {n: names.get(f"modular.{n}", {"calls": 0})["calls"] for n in ("phi_series", "gi_series")}
+    assert builds == {"phi_series": 2, "gi_series": 3}
     _report(12, f"traced worker pass: phi build digest, sym-e1 and addition-eq11 pass, {len(names)} traced names")

@@ -2,10 +2,15 @@
 round-tripping of printed points."""
 
 import json
+import os
+import pathlib
 
 import pytest
 
 from bianchiq.cli import main, parse_complex
+
+# a child process imports the package from this checkout, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +148,11 @@ class TestVerify:
         rc, _, err = run_cli(capsys, "verify", "no-such-identity")
         assert rc == 2
 
+    def test_a_name_given_twice_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "sym-e1", "sym-e1", "--order", "12")
+        assert rc == 2 and out == ""
+        assert "'sym-e1'" in err
+
     def test_without_names_or_all_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "verify")
         assert rc == 2
@@ -253,6 +263,13 @@ class TestPoint:
     def test_malformed_point_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "point", "on-curve", "[1,2]", "--tau", "1.1i")
         assert rc == 2
+
+    @pytest.mark.parametrize("op", ["two-torsion", "five-torsion"])
+    def test_torsion_with_a_point_argument_exits_2(self, capsys, op):
+        # a torsion op takes no point: one given must not be dropped in silence
+        rc, out, err = run_cli(capsys, "point", op, "[[1,0],[0,0],[0,0],[0,0],[0,0]]", "--tau=1.1i")
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {op} takes no point arguments")
 
     def test_missing_tau_and_phi_exits_2(self, capsys):
         rc, _, _ = run_cli(capsys, "point", "two-torsion")
@@ -382,8 +399,8 @@ class TestSubprocess:
         cmd = [sys.executable, "-m", "bianchiq", "verify",
                "jacobi-A4", "delta-squared", "--order", "12", "--samples", "3",
                "--seed", "7"]
-        r1 = subprocess.run(cmd, capture_output=True)
-        r2 = subprocess.run(cmd, capture_output=True)
+        r1 = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
+        r2 = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
         assert r1.returncode == 0 and r2.returncode == 0
         assert r1.stdout == r2.stdout
         assert b"elapsed" in r1.stderr and b"elapsed" not in r1.stdout
@@ -402,7 +419,7 @@ class TestSubprocess:
             "identities.run_identity('theta-nullwerte', identities.VerifyConfig(samples=1))\n"
             "print('hashlib' in sys.modules)\n"
         )
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines() == ["[]", "True"]
 
@@ -411,7 +428,7 @@ class TestSubprocess:
         import sys
 
         r = subprocess.run([sys.executable, "-m", "bianchiq", "expand"],
-                           capture_output=True)
+                           capture_output=True, env=CHILD_ENV)
         assert r.returncode == 2
 
     def test_closed_stdout_exits_141_without_traceback(self):
@@ -420,7 +437,7 @@ class TestSubprocess:
 
         # the reader goes away before the child has written anything
         p = subprocess.Popen([sys.executable, "-m", "bianchiq", "list"],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
         p.stdout.close()
         err = p.stderr.read()
         p.stderr.close()

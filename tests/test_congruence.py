@@ -116,6 +116,18 @@ def test_builtin_residues_pinned():
     assert got == RESIDUE_PINS
 
 
+# sha256 of repr((name, modulus, sorted(residues))) over builtin_specs(),
+# in insertion order: the catalog's names, order and groups in one figure
+BUILTIN_SPECS_SHA256 = "f463e53e37821d9b1a2c9416138da27aa9b301a770eb29175595c0a175f4de28"
+
+
+def test_builtin_specs_digest():
+    h = hashlib.sha256()
+    for name, s in builtin_specs().items():
+        h.update(repr((name, s.modulus, sorted(s.residues))).encode())
+    assert h.hexdigest() == BUILTIN_SPECS_SHA256
+
+
 def _brute_image(spec, n):
     m = spec.modulus
     return frozenset(g for g in enumerate_group(n) if tuple(v % m for v in g) in spec.residues)

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import reference_theta_k, reference_theta_transforms
 
-from bianchiq import exact, identities, modular, theta
+from bianchiq import curve, exact, identities, modular, theta
 from bianchiq.exact import PuiseuxSeries, ZeroLeadingCoefficient
 from bianchiq.identities import (
     ADDITION_FORMULAS,
@@ -82,6 +82,11 @@ class TestRunIdentity:
         with pytest.raises(UnknownName):
             run_identity("no-such-check")
 
+    def test_a_name_given_twice_raises(self):
+        # run twice, it would be counted twice
+        with pytest.raises(ValueError, match="'sym-e1'"):
+            run_all(VerifyConfig(series_order=12), ["sym-e1", "sym-e3", "sym-e1"])
+
 
 class TestMutationSensitivity:
     @pytest.mark.parametrize(
@@ -101,6 +106,17 @@ class TestMutationSensitivity:
         cfg = VerifyConfig(series_order=12, samples=1)
         assert run_identity(name, cfg).status == "pass"
         assert run_identity(name, cfg, mutate=True).status == "fail"
+
+    @pytest.mark.parametrize("name", sorted(identities._EXACT_POLY))
+    def test_exact_poly_rows_vanish_and_not_at_the_sign_variant(self, name):
+        residual, _ = identities._EXACT_POLY[name]
+        assert all(r.is_zero() for r in identities._run_poly(residual))
+        assert not all(r.is_zero() for r in identities._run_poly(residual, mutate=True))
+
+    def test_the_exact_poly_mutant_is_the_sign_variant_of_w(self):
+        variant = exact.QPoly.from_terms({0: 1, 5: -11, 10: 1})  # 1 - 11 phi^5 + phi^10
+        assert identities._run_poly(lambda t, w: w, mutate=True) == variant
+        assert identities._run_poly(lambda t, w: w) == curve.disc_factor(exact.QPoly.from_terms({5: 1}))
 
     @pytest.mark.parametrize("name", [c.name for c in registry() if c.kind == "numeric"])
     def test_numeric_mutation_raises(self, name):
