@@ -55,19 +55,21 @@ _sl2_cache: dict[int, tuple[Mat, ...]] = {}
 
 
 def enumerate_group(n: int) -> tuple[Mat, ...]:
-    """All matrices over Z/n with determinant 1, by direct filtering."""
+    """All matrices over Z/n with determinant 1, in lexicographic order."""
     if not 1 <= n <= 30:
         raise ValueError("modulus out of the supported range 1..30")
     if n in _sl2_cache:
         return _sl2_cache[n]
     out = []
     for a in range(n):
+        # solutions[r]: every d with a*d = r (mod n), ascending
+        solutions = [[] for _ in range(n)]
+        for d in range(n):
+            solutions[a * d % n].append(d)
         for b in range(n):
             for c in range(n):
-                ad_needed = (1 + b * c) % n
-                for d in range(n):
-                    if (a * d) % n == ad_needed:
-                        out.append((a, b, c, d))
+                for d in solutions[(1 + b * c) % n]:
+                    out.append((a, b, c, d))
     result = _sl2_cache[n] = tuple(out)
     return result
 

@@ -42,6 +42,16 @@ from . import curve, modular, theta
 from .curve import _worse
 from .exact import PuiseuxSeries, QPoly, product_memo
 
+# hashlib.sha256 from CPython's built-in module, which hashlib falls back to:
+# the same digests, without mapping OpenSSL
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 _ORDER_SLACK = 8
 # a mutated input is its named series plus q^_MUTATION_EXPONENT
 _MUTATION_EXPONENT = 7
@@ -77,11 +87,10 @@ class VerifyConfig(namedtuple("VerifyConfig", "series_order tol samples seed tau
         return cls(*iterable)
 
     def rng_for(self, name: str):
-        # imported here: hashlib loads OpenSSL, and only numeric checks draw
-        import hashlib
+        # imported here, as only numeric checks draw
         import random
 
-        h = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
+        h = int.from_bytes(_sha256(name.encode()).digest()[:8], "big")
         return random.Random(self.seed ^ h)
 
     # rng.uniform(a, b) as CPython computes it, a + (b - a) * rng.random(), real part first
@@ -560,6 +569,12 @@ class IdentityCheck(namedtuple("IdentityCheck", "name kind description runner mu
 def _build_registry() -> tuple[IdentityCheck, ...]:
     checks = []
     for name, (inputs, residual, target, desc) in _EXACT_SERIES.items():
+        # an input that names no series, or a mutant that perturbs no input,
+        # fails here and not when the check runs; reading modular.NAMES also
+        # executes modular along with the registry
+        if target not in inputs or not set(inputs) <= set(modular.NAMES):
+            raise ValueError(f"{name}: inputs {inputs} must be series names "
+                             f"and include the mutation target {target!r}")
         checks.append(IdentityCheck(name, "exact_series", desc, partial(_run_row, inputs, residual), target))
     for name, (residual, desc) in _EXACT_POLY.items():
         checks.append(IdentityCheck(name, "exact_poly", desc, partial(_run_poly, residual)))

@@ -90,9 +90,15 @@ def gi_series(i: int, order) -> PuiseuxSeries:
 
 
 def delta_series(order) -> PuiseuxSeries:
-    """(g1-g2)(g2-g3)(g3-g1), the square root of the cubic discriminant."""
+    """(g1-g2)(g2-g3)(g3-g1), the square root of the cubic discriminant.
+
+    Each difference starts at q^0 or later, so the product is exact through
+    the order g1..g3 are read at.  Its exponents lie in 1/2 + Z, so at an
+    order on that grid reduce_ram rounds no window down and g1..g3 are read
+    at the order itself; at any other order they are read 2 further."""
     order = _checked("delta", order)
-    g1, g2, g3 = (named_series(f"g{i}", order + 2) for i in (1, 2, 3))
+    at = order if (2 * order).denominator == 1 else order + 2
+    g1, g2, g3 = (named_series(f"g{i}", at) for i in (1, 2, 3))
     return ((g1 - g2) * (g2 - g3) * (g3 - g1)).reduce_ram().truncate(order)
 
 

@@ -410,7 +410,7 @@ class TestSubprocess:
         import sys
 
         # a cold start loads neither numpy nor dataclasses (which pulls in
-        # inspect); hashlib waits for the first numeric check
+        # inspect), and a numeric check seeds its draws without hashlib
         code = (
             "import sys, bianchiq.cli\n"
             "from bianchiq import congruence, identities\n"
@@ -421,7 +421,7 @@ class TestSubprocess:
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.splitlines() == ["[]", "True"]
+        assert r.stdout.splitlines() == ["[]", "False"]
 
     def test_usage_error_exit_code(self):
         import subprocess

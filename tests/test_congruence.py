@@ -39,6 +39,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_group(31)
 
+    def test_matches_the_brute_force_filter_in_order(self):
+        for n in range(1, 31):
+            r = range(n)
+            brute = [(a, b, c, d) for a in r for b in r for c in r for d in r if (a * d - b * c) % n == 1 % n]
+            assert enumerate_group(n) == tuple(brute), n
+
 
 class TestImages:
     def test_gamma10_image_trivial(self):

@@ -169,6 +169,14 @@ def test_each_exact_series_row_reads_named_series_and_mutates_one_it_reads():
         assert target in inputs, name
 
 
+@pytest.mark.parametrize("row", [(("phi", "nope"), "phi"), (("phi", "g1"), "g2")])
+def test_a_row_off_the_series_catalog_stops_the_registry(monkeypatch, row):
+    inputs, target = row
+    monkeypatch.setitem(identities._EXACT_SERIES, "bad-row", (inputs, lambda *s: [], target, "bad"))
+    with pytest.raises(ValueError, match="bad-row"):
+        identities._build_registry()
+
+
 def test_an_exact_series_check_fetches_exactly_its_inputs_in_order():
     # the table's runner is the only fetch path: each input once, in order
     class Recording(SeriesEnv):
@@ -418,6 +426,17 @@ class TestReportSchema:
 
 
 NUMERIC = [c.name for c in registry() if c.kind == "numeric"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_numeric_stream_is_seeded_by_hashlib_sha256(seed):
+    # the salt is the first 8 bytes of hashlib's SHA-256 of the name,
+    # whichever module computes it
+    assert len(NUMERIC) == 43
+    cfg = VerifyConfig(seed=seed)
+    for name in NUMERIC:
+        salt = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
+        assert cfg.rng_for(name).getstate() == random.Random(seed ^ salt).getstate(), name
 
 
 class TestBitIdentity:
