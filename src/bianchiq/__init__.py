@@ -16,10 +16,10 @@ The package has six layers:
 ``import bianchiq`` registers the six layers without executing them, both in
 ``sys.modules`` and as attributes of the package, so a command pays only for
 the layers it uses.  A layer executes at its first attribute access of any
-kind, ``__dict__`` included (``vars(bianchiq.exact)`` sees the full
-namespace), exactly once, under one re-entrant lock shared by all layers: a
-thread that reaches a layer while another executes it waits, and a layer
-executing may reach the next on the same thread.  The re-exports below
+kind, read, write or delete, ``__dict__`` included (``vars(bianchiq.exact)``
+sees the full namespace), exactly once, under one re-entrant lock shared by
+all layers: a thread that reaches a layer while another executes it waits,
+and a layer executing may reach the next on the same thread.  The re-exports below
 resolve through the module ``__getattr__``.
 """
 
@@ -44,7 +44,8 @@ _unexecuted = {}
 
 
 class _Layer(types.ModuleType):
-    """A registered layer that has not executed yet."""
+    """A registered layer that has not executed yet.  A write or a delete
+    executes it first too, so that its run cannot undo the change."""
 
     def __getattribute__(self, attr):
         with _lock:
@@ -58,8 +59,16 @@ class _Layer(types.ModuleType):
                     raise
                 # after it ran: a thread that saw a plain module before
                 # then would have read a partial namespace
-                self.__class__ = types.ModuleType
+                types.ModuleType.__setattr__(self, "__class__", types.ModuleType)
         return types.ModuleType.__getattribute__(self, attr)
+
+    def __setattr__(self, attr, value):
+        vars(self)  # executes the layer
+        types.ModuleType.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        vars(self)
+        types.ModuleType.__delattr__(self, attr)
 
 
 for _name in ("exact", "theta", "modular", "curve", "identities", "congruence"):

@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print a named q-expansion")
     p.set_defaults(run=_cmd_expand)
-    p.add_argument("name", help=f"one of {', '.join(modular.NAMES)}")
+    p.add_argument("name", help="a series name; `bianchiq list` prints them")
     p.add_argument("--order", default=None, help="exponent bound (integer or fraction)")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -157,8 +157,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not args.names and not getattr(args, "all", False):
-        print("verify: give check names or --all", file=sys.stderr)
+    if bool(args.names) == args.all:
+        print("verify: give check names or --all, not both", file=sys.stderr)
         return 2
     cfg = identities.VerifyConfig(
         series_order=args.order if args.order is not None else _default_order(),

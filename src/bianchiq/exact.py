@@ -245,15 +245,16 @@ class PuiseuxSeries:
         """Same series on the finer grid ram*m."""
         return self if m == 1 else self._spread(self.ram * m, m)
 
-    def reduce_ram(self) -> "PuiseuxSeries":
-        """Smallest ramification carrying the same nonzero exponents.
+    def reduce_ram(self, whole: bool = False) -> "PuiseuxSeries":
+        """Smallest ramification carrying the same nonzero exponents, and
+        with ``whole`` the truncation too, so the window stays the same.
 
-        The truncation is rounded down to the coarser grid, which only ever
-        weakens the claimed window, never widens it.
+        Otherwise the truncation is rounded down to the coarser grid, which
+        only ever weakens the claimed window, never widens it.
         """
-        if self.is_zero():
+        if self.is_zero() and not whole:
             return _of(1, self.trunc // self.ram, self.trunc // self.ram, (), 1)
-        d = _stride(self.nums, math.gcd(self.ram, self.lo))
+        d = _stride(self.nums, math.gcd(self.ram, self.lo, self.trunc if whole else 0))
         if d == 1:
             return self
         n = self.trunc // d - self.lo // d

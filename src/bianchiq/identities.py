@@ -13,12 +13,12 @@ Three kinds of check:
 * ``exact_poly``: polynomials over Q that must be zero, each a row of
   ``_EXACT_POLY``.  The mutant of every row is W's sign variant W + 2 t^2.
 * ``numeric``: a theta-function identity sampled at seeded random points in
-  the configured tau box.  Its runner, ``runner(cfg, rng)``, is a generator
-  of relative residuals, one or more per sample.  ``run_identity`` alone
-  folds them into the worst, a NaN counting as the worst of all, and the
-  check passes iff that is below the configured tolerance.  A body binds
-  ``theta.theta_k`` once, when it starts, so a replacement installed before
-  the run (a tracer's) is the one called.
+  the configured tau box, each a row of ``_NUMERIC``: its z draws per
+  sample, a body taking tau and those z's and giving that sample's relative
+  residuals, and a description.  ``_sampled``, the runner of every row,
+  alone draws: tau, then the z's, once per sample.  ``run_identity`` alone
+  folds the residuals into the worst, a NaN counting as the worst of all,
+  and the check passes iff that is below the configured tolerance.
 
 Checks are deterministic given a VerifyConfig: per-check random streams are
 derived from the seed and the check name, so results are independent of
@@ -37,6 +37,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import repeat
 
 from . import curve, modular, theta
 from .curve import _worse
@@ -359,7 +360,8 @@ CHAIN_FORMULAS = {
 }
 
 
-def _chain_side(theta_k, tau, side, args) -> complex:
+def _chain_side(tau, side, args) -> complex:
+    theta_k = theta.theta_k
     key, products = side
     total = 0
     for sign, a, b in products:
@@ -370,18 +372,12 @@ def _chain_side(theta_k, tau, side, args) -> complex:
     return total
 
 
-def _four_term(formula, cfg: VerifyConfig, rng):
-    theta_k = theta.theta_k
-    lhs_side, rhs_side = formula
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        w, x, y, z = (cfg.random_z(rng) for _ in range(4))
-        s = x + y + z
-        # chain 10 writes its pair sums in another order than chains 7 and
-        # 8; each keeps its own, since the order of the factors moves floats
-        args = {"plain": (w, x, y, z), "primed": _primed(w, x, y, z), "sum": (s, x, y, z),
-                "pairs": (0, y + z, z + x, x + y), "pairs10": (0, x + y, y + z, z + x)}
-        yield _rel(_chain_side(theta_k, tau, lhs_side, args), _chain_side(theta_k, tau, rhs_side, args))
+def _four_term(lhs, rhs, tau, w, x, y, z):
+    # chain 10 writes its pair sums in another order than chains 7 and 8;
+    # each keeps its own, since the order of the factors moves floats
+    args = {"plain": (w, x, y, z), "primed": _primed(w, x, y, z), "sum": (x + y + z, x, y, z),
+            "pairs": (0, y + z, z + x, x + y), "pairs10": (0, x + y, y + z, z + x)}
+    return [_rel(_chain_side(tau, lhs, args), _chain_side(tau, rhs, args))]
 
 
 # The 25 addition formulas
@@ -399,16 +395,12 @@ ADDITION_FORMULAS = {11 + 5 * i + j: ((3 - i - 2 * j) % 5, (3 - i) % 5,
                      for i in range(5) for j in range(5)}
 
 
-def _addition_eq(formula, cfg: VerifyConfig, rng):
+def _addition_eq(s, d, p, m, tau, x, y):
     theta_k = theta.theta_k
-    s, d, p, m = formula
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        x, y = cfg.random_z(rng), cfg.random_z(rng)
-        lhs = theta_k(3, 0, tau) ** 2 * theta_k(s, x + y, tau) * theta_k(d, x - y, tau)
-        rhs = (theta_k(p[0], x, tau) * theta_k(p[1], x, tau) * theta_k(p[2], y, tau) ** 2
-               - theta_k(m[0], x, tau) ** 2 * theta_k(m[1], y, tau) * theta_k(m[2], y, tau))
-        yield _rel(lhs, rhs)
+    lhs = theta_k(3, 0, tau) ** 2 * theta_k(s, x + y, tau) * theta_k(d, x - y, tau)
+    rhs = (theta_k(p[0], x, tau) * theta_k(p[1], x, tau) * theta_k(p[2], y, tau) ** 2
+           - theta_k(m[0], x, tau) ** 2 * theta_k(m[1], y, tau) * theta_k(m[2], y, tau))
+    return [_rel(lhs, rhs)]
 
 
 def duplication_uniform_sign(tau: complex = 1.3j, z: complex = 0.21 + 0.11j) -> int:
@@ -424,18 +416,14 @@ def duplication_uniform_sign(tau: complex = 1.3j, z: complex = 0.21 + 0.11j) -> 
     return 1 if abs(with2 - 1) < 0.5 else -1
 
 
-def _duplication(family: str, last: int, cfg: VerifyConfig, rng):
+def _duplication(family: str, last: int, tau, z):
     # theta3(0)^2 theta_last(0) theta(2z) = family(theta(z)); the family is
     # looked up at run time, so a replaced curve function is the one called
     theta_k, theta_vector = theta.theta_k, theta.theta_vector
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        z = cfg.random_z(rng)
-        x = theta_vector(z, tau)
-        x2 = theta_vector(2 * z, tau)
-        pre = theta_k(3, 0.0, tau) ** 2 * theta_k(last, 0.0, tau)
-        for k, rhs in enumerate(getattr(curve, family)(x)):
-            yield _rel(pre * x2[k], rhs)
+    x, x2 = theta_vector(z, tau), theta_vector(2 * z, tau)
+    pre = theta_k(3, 0.0, tau) ** 2 * theta_k(last, 0.0, tau)
+    for k, rhs in enumerate(getattr(curve, family)(x)):
+        yield _rel(pre * x2[k], rhs)
 
 
 def _transform_tables():
@@ -456,100 +444,94 @@ def _transform_tables():
 _SHIFT_TABLE, _PARITY_TABLE = _transform_tables()
 
 
-def _theta_transforms(cfg: VerifyConfig, rng):
+def _theta_transforms(tau, z):
     theta_k = theta.theta_k
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        z = cfg.random_z(rng)
-        # every right-hand side is theta_j(z) for a reduced index j: evaluate
-        # each once per sample
-        at_z = [theta_k(k, z, tau) for k in theta.INDICES]
-        for name, (shift, mult, _) in theta.shift_rules(tau).items():
-            zs = z + shift
-            shared = None if name in theta.K_ONLY_RULES else mult(None, z)
-            for k, j, factor in _SHIFT_TABLE[name]:
-                lhs = theta_k(k, zs, tau)
-                rhs = (shared if factor is None else factor) * at_z[j]
-                yield _rel(lhs, rhs)
-        mz = -z
-        for k, j, sign in _PARITY_TABLE:
-            yield _rel(theta_k(k, mz, tau), sign * at_z[j])
+    # every right-hand side is theta_j(z) for a reduced index j: evaluate
+    # each once per sample
+    at_z = [theta_k(k, z, tau) for k in theta.INDICES]
+    for name, (shift, mult, _) in theta.shift_rules(tau).items():
+        zs = z + shift
+        shared = None if name in theta.K_ONLY_RULES else mult(None, z)
+        for k, j, factor in _SHIFT_TABLE[name]:
+            lhs = theta_k(k, zs, tau)
+            rhs = (shared if factor is None else factor) * at_z[j]
+            yield _rel(lhs, rhs)
+    mz = -z
+    for k, j, sign in _PARITY_TABLE:
+        yield _rel(theta_k(k, mz, tau), sign * at_z[j])
 
 
-def _theta_nullwerte(cfg: VerifyConfig, rng):
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        n = theta.nullwerte(tau)
-        scale = max(abs(v) for v in n)
-        yield from (abs(n[0]) / scale, abs(n[3] + n[2]) / scale, abs(n[4] + n[1]) / scale)
+def _theta_nullwerte(tau):
+    n = theta.nullwerte(tau)
+    scale = max(abs(v) for v in n)
+    return abs(n[0]) / scale, abs(n[3] + n[2]) / scale, abs(n[4] + n[1]) / scale
 
 
-def _bianchi_quadrics(cfg: VerifyConfig, rng):
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        z = cfg.random_z(rng)
-        phi = theta.phi_numeric(tau)
-        yield curve.max_quadric_residual(theta.theta_vector(z, tau), phi)
-
-
-def _addition_map(cfg: VerifyConfig, rng):
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        zx, zy = cfg.random_z(rng), cfg.random_z(rng)
-        p = theta.theta_vector(zx, tau)
-        q = theta.theta_vector(zy, tau)
-        s = theta.theta_vector(zx + zy, tau)
-        yield curve.projective_distance(curve.add_a1(p, q), s)
-        yield curve.projective_distance(curve.add_a2(p, q), s)
-
-
-def _five_torsion(cfg: VerifyConfig, rng):
-    for _ in range(max(1, cfg.samples // 5)):
-        tau = cfg.random_tau(rng)
-        phi = theta.phi_numeric(tau)
-        o = curve.neutral(phi)
-        for p in curve.five_torsion_points(phi):
-            yield curve.max_quadric_residual(p, phi)
-            yield curve.projective_distance(curve.multiply(p, 5), o)
-
-
-def _weierstrass_map_check(cfg: VerifyConfig, rng):
-    for _ in range(cfg.samples):
-        tau = cfg.random_tau(rng)
-        phi = theta.phi_numeric(tau)
-        z = cfg.random_z(rng)
-        p = theta.theta_vector(z, tau)
-        x, ya, yb = curve.weierstrass_map(p, phi)
-        yield _rel(ya, yb)
-        res = curve.weierstrass_residual(x, ya, phi)
-        scale = max(abs(ya) ** 2, abs(x) ** 3, 1e-300)
-        yield abs(res) / scale
-    tau = 1.1j
+def _bianchi_quadrics(tau, z):
     phi = theta.phi_numeric(tau)
-    a = complex(curve.WEIERSTRASS_A(phi))
-    b = complex(curve.WEIERSTRASS_B(phi))
+    yield curve.max_quadric_residual(theta.theta_vector(z, tau), phi)
+
+
+def _addition_map(tau, zx, zy):
+    p, q, s = (theta.theta_vector(v, tau) for v in (zx, zy, zx + zy))
+    return [curve.projective_distance(add(p, q), s) for add in (curve.add_a1, curve.add_a2)]
+
+
+def _five_torsion(tau):
+    phi = theta.phi_numeric(tau)
+    o = curve.neutral(phi)
+    for p in curve.five_torsion_points(phi):
+        yield curve.max_quadric_residual(p, phi)
+        yield curve.projective_distance(curve.multiply(p, 5), o)
+
+
+def _weierstrass_map(tau, z):
+    phi = theta.phi_numeric(tau)
+    x, ya, yb = curve.weierstrass_map(theta.theta_vector(z, tau), phi)
+    yield _rel(ya, yb)
+    yield abs(curve.weierstrass_residual(x, ya, phi)) / max(abs(ya) ** 2, abs(x) ** 3, 1e-300)
+
+
+def _two_torsion_to_y0(tau=1.1j):
+    phi = theta.phi_numeric(tau)
+    a, b = complex(curve.WEIERSTRASS_A(phi)), complex(curve.WEIERSTRASS_B(phi))
     for p in curve.two_torsion_points(phi):
         x, ya, yb = curve.weierstrass_map(p, phi)
         scale = max(abs(x) ** 3, abs(b), 1e-300)
         yield from (abs(ya) / abs(x), abs(yb) / abs(x), abs(x ** 3 + a * x + b) / scale)
 
 
+# A numeric row: z draws per sample, a body(tau, *zs) giving that sample's
+# residuals, and a description; it takes one sample per `per` of cfg.samples
+# (at least one), and its tail gives residuals at fixed points after them.
+_Numeric = namedtuple("_Numeric", "draws body description per tail", defaults=(1, None))
+
+
+def _sampled(row: _Numeric, cfg: VerifyConfig, rng):
+    """The one sampling loop, and the only caller of cfg.random_tau and cfg.random_z."""
+    for _ in range(max(1, cfg.samples // row.per)):
+        yield from row.body(cfg.random_tau(rng), *map(cfg.random_z, repeat(rng, row.draws)))
+    if row.tail:
+        yield from row.tail()
+
+
 _NUMERIC = {
-    "jacobi-A4": (partial(_four_term, JACOBI_A4), "the four-term product main identity"),
-    "duplication-cubic": (partial(_duplication, "double_cubic", 3),
-                          "duplication, cubic family (theta3(0)^3 prefactor)"),
-    "duplication-mixed": (partial(_duplication, "double", 1),
-                          "duplication, mixed family (theta3(0)^2 theta1(0) prefactor)"),
-    "theta-transforms": (_theta_transforms, "the six quasi-periodicity rules and parity"),
-    "theta-nullwerte": (_theta_nullwerte, "theta0(0)=0, theta3(0)=-theta2(0), theta4(0)=-theta1(0)"),
-    "bianchi-quadrics-theta": (_bianchi_quadrics, "the five quadrics on theta coordinate vectors"),
-    "addition-map-A1A2": (_addition_map, "A1/A2 coordinate addition against theta vectors of the sum"),
-    "five-torsion": (_five_torsion, "25 points of order 5: membership and additive order"),
-    "weierstrass-map": (_weierstrass_map_check,
-                        "X,Y map: Y_a=Y_b, the curve equation, and 2-torsion mapping to Y=0"),
-    **{f"chain-eq{i}": (partial(_four_term, f), f"derived four-term identity {i} of the shift chain")
+    "jacobi-A4": _Numeric(4, partial(_four_term, *JACOBI_A4), "the four-term product main identity"),
+    "duplication-cubic": _Numeric(1, partial(_duplication, "double_cubic", 3),
+                                  "duplication, cubic family (theta3(0)^3 prefactor)"),
+    "duplication-mixed": _Numeric(1, partial(_duplication, "double", 1),
+                                  "duplication, mixed family (theta3(0)^2 theta1(0) prefactor)"),
+    "theta-transforms": _Numeric(1, _theta_transforms, "the six quasi-periodicity rules and parity"),
+    "theta-nullwerte": _Numeric(0, _theta_nullwerte, "theta0(0)=0, theta3(0)=-theta2(0), theta4(0)=-theta1(0)"),
+    "bianchi-quadrics-theta": _Numeric(1, _bianchi_quadrics, "the five quadrics on theta coordinate vectors"),
+    "addition-map-A1A2": _Numeric(2, _addition_map, "A1/A2 coordinate addition against theta vectors of the sum"),
+    "five-torsion": _Numeric(0, _five_torsion, "25 points of order 5: membership and additive order", per=5),
+    "weierstrass-map": _Numeric(1, _weierstrass_map,
+                                "X,Y map: Y_a=Y_b, the curve equation, and 2-torsion mapping to Y=0",
+                                tail=_two_torsion_to_y0),
+    **{f"chain-eq{i}": _Numeric(4, partial(_four_term, *f), f"derived four-term identity {i} of the shift chain")
        for i, f in CHAIN_FORMULAS.items()},
-    **{f"addition-eq{i}": (partial(_addition_eq, f), f"coordinate addition formula {i}")
+    **{f"addition-eq{i}": _Numeric(2, partial(_addition_eq, *f), f"coordinate addition formula {i}")
        for i, f in ADDITION_FORMULAS.items()},
 }
 
@@ -578,8 +560,8 @@ def _build_registry() -> tuple[IdentityCheck, ...]:
         checks.append(IdentityCheck(name, "exact_series", desc, partial(_run_row, inputs, residual), target))
     for name, (residual, desc) in _EXACT_POLY.items():
         checks.append(IdentityCheck(name, "exact_poly", desc, partial(_run_poly, residual)))
-    for name, (fn, desc) in _NUMERIC.items():
-        checks.append(IdentityCheck(name, "numeric", desc, fn))
+    for name, row in _NUMERIC.items():
+        checks.append(IdentityCheck(name, "numeric", row.description, partial(_sampled, row)))
     return tuple(sorted(checks, key=lambda c: c.name))
 
 

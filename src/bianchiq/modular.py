@@ -5,7 +5,8 @@ arithmetic: the degree-5 hauptmodul phi, the three 2-torsion parameters
 g1, g2, g3 and their discriminant delta, the eta quotients j5 and j10, and
 the modular j-function.  A process-wide cache serves each name at the
 highest order computed so far; callers always receive a view truncated to
-exactly the order they asked for, so results do not depend on cache state.
+exactly the order they asked for, on the coarsest grid that carries that
+window, so results do not depend on cache state.
 The builders read the series they depend on through that cache (g1..g3,
 phi5 and neg_g2_2tau read phi or g2, delta reads g1..g3), so each series
 is built once per order rise, not once per dependent.
@@ -93,13 +94,11 @@ def delta_series(order) -> PuiseuxSeries:
     """(g1-g2)(g2-g3)(g3-g1), the square root of the cubic discriminant.
 
     Each difference starts at q^0 or later, so the product is exact through
-    the order g1..g3 are read at.  Its exponents lie in 1/2 + Z, so at an
-    order on that grid reduce_ram rounds no window down and g1..g3 are read
-    at the order itself; at any other order they are read 2 further."""
+    the order g1..g3 are read at, the order itself; the coarser grid it is
+    put on keeps that whole window."""
     order = _checked("delta", order)
-    at = order if (2 * order).denominator == 1 else order + 2
-    g1, g2, g3 = (named_series(f"g{i}", at) for i in (1, 2, 3))
-    return ((g1 - g2) * (g2 - g3) * (g3 - g1)).reduce_ram().truncate(order)
+    g1, g2, g3 = (named_series(f"g{i}", order) for i in (1, 2, 3))
+    return ((g1 - g2) * (g2 - g3) * (g3 - g1)).truncate(order).reduce_ram(whole=True)
 
 
 def eta_quotient_series(spec, order) -> PuiseuxSeries:
@@ -131,9 +130,10 @@ _cache: dict[str, PuiseuxSeries] = {}
 def named_series(name: str, order=30) -> PuiseuxSeries:
     """Memoized lookup of a named expansion at (at least) the given order.
 
-    The returned series is truncated to exactly ``order`` so the value seen
-    by callers is independent of what the cache happens to hold.  An order
-    at or below the leading exponent raises ValueError, cold or warm.
+    The returned series is truncated to exactly ``order``, on the coarsest
+    grid carrying its window, so the value seen by callers is independent
+    of what the cache happens to hold.  An order at or below the leading
+    exponent raises ValueError, cold or warm.
     """
     if name not in NAMES:
         raise UnknownName(name)
@@ -141,4 +141,4 @@ def named_series(name: str, order=30) -> PuiseuxSeries:
     hit = _cache.get(name)
     if hit is None or hit.order < order:
         hit = _cache[name] = _CATALOG[name][1](order)
-    return hit.truncate(order)
+    return hit.truncate(order).reduce_ram(whole=True)

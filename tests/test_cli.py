@@ -157,6 +157,11 @@ class TestVerify:
         rc, _, err = run_cli(capsys, "verify")
         assert rc == 2
 
+    def test_names_with_all_exit_2(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "--all", "nonsense-name")
+        assert rc == 2 and out == ""
+        assert "not both" in err
+
     def test_seeded_rerun_byte_identical(self, capsys):
         args = ("verify", "jacobi-A4", "chain-eq5", "sym-e1",
                 "--order", "12", "--samples", "3", "--seed", "7")

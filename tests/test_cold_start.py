@@ -38,12 +38,12 @@ def _child(*argv):
 
 
 @pytest.mark.parametrize("argv,executed", [
-    # the parser's `expand` help lists modular.NAMES, so every command
-    # executes modular and the exact layer it imports
-    (["group", "G1"], ["exact", "modular", "congruence"]),
-    (["group", "--dot"], ["exact", "modular", "congruence"]),
+    # building the parser executes no layer: `group` needs congruence alone,
+    # and `point` the curve and the exact layer it imports, without modular
+    (["group", "G1"], ["congruence"]),
+    (["group", "--dot"], ["congruence"]),
     (["expand", "delta", "--order", "12"], ["exact", "modular"]),
-    (["point", "two-torsion", "--tau", "1.1i"], ["exact", "theta", "modular", "curve"]),
+    (["point", "two-torsion", "--tau", "1.1i"], ["exact", "theta", "curve"]),
     (["verify", "addition-eq11", "--samples", "2"], ["exact", "theta", "modular", "curve", "identities"]),
     (["list"], list(LAYERS)),
 ])
@@ -91,6 +91,18 @@ def test_a_layer_whose_run_is_interrupted_runs_again_at_the_next_access():
             "print(len(bianchiq.congruence.enumerate_group(2)), len(runs))\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV, timeout=120)
     assert r.stdout.split() == ["interrupted", "6", "2"], r.stderr
+
+
+def test_a_write_or_delete_before_any_read_outlives_the_layers_run():
+    code = ("import bianchiq\n"
+            "from bianchiq import theta\n"
+            "theta.TRUNCATION_RATIO = 123.0\n"
+            "setattr(bianchiq.curve, 'ZERO_REL', 0.5)\n"
+            "del bianchiq.congruence.enumerate_group\n"
+            "print(theta.TRUNCATION_RATIO, bianchiq.curve.ZERO_REL, hasattr(bianchiq.congruence, 'enumerate_group'))\n"
+            "print(sorted(bianchiq._unexecuted))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV, timeout=120)
+    assert r.stdout.splitlines() == ["123.0 0.5 False", "['bianchiq.identities', 'bianchiq.modular']"], r.stderr
 
 
 def test_the_reexports_are_the_layers_own_objects():

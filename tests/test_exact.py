@@ -663,6 +663,12 @@ def test_reduce_ram():
     assert s.ram == 10
     r = s.reduce_ram()
     assert r.ram == 1 and r.coefficient(1) == 2 and r.coefficient(3) == -1
+    # rounded down to the coarser grid, or kept whole on the coarsest grid carrying it
+    assert s.truncate(F(7, 2)).reduce_ram().order == 3
+    whole = s.truncate(F(7, 2)).reduce_ram(whole=True)
+    assert (whole.ram, whole.order, whole.coefficient(3)) == (2, F(7, 2), -1)
+    zero = PuiseuxSeries.zero(F(7, 2), ram=10).reduce_ram(whole=True)
+    assert (zero.ram, zero.order, zero.is_zero()) == (2, F(7, 2), True)
 
 
 # -- the Kronecker product at its slot-width boundaries ---------------------

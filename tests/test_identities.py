@@ -1,6 +1,7 @@
 """The check registry: catalog shape, determinism, exactness separation,
 and mutation sensitivity of every exact check."""
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -437,6 +438,37 @@ def test_each_numeric_stream_is_seeded_by_hashlib_sha256(seed):
     for name in NUMERIC:
         salt = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
         assert cfg.rng_for(name).getstate() == random.Random(seed ^ salt).getstate(), name
+
+
+class CountingRandom(random.Random):
+    """Counts its random() calls; any other way of drawing fails."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        raise AssertionError("a numeric check drew other than by random()")
+
+
+@pytest.mark.parametrize("samples", [2, 11])
+def test_each_numeric_row_draws_tau_and_its_zs_per_sample_and_nothing_else(samples):
+    # one sample per `per` of cfg.samples, at least one, each a tau and the
+    # row's z's at two random() calls apiece; the counting stream is the
+    # check's own, so its residuals are the ones run_identity folds
+    assert {n: r.per for n, r in identities._NUMERIC.items() if r.per != 1} == {"five-torsion": 5}
+    cfg = VerifyConfig(samples=samples)
+    state = random.getstate()
+    for name in NUMERIC:
+        row = identities._NUMERIC[name]
+        rng = CountingRandom()
+        rng.setstate(cfg.rng_for(name).getstate())
+        worst = functools.reduce(curve._worse, get_check(name).runner(cfg, rng), 0.0)
+        assert rng.calls == max(1, samples // row.per) * 2 * (1 + row.draws), name
+        assert worst == run_identity(name, cfg).worst_residual, name
+    assert random.getstate() == state
 
 
 class TestBitIdentity:

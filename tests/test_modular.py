@@ -209,6 +209,20 @@ def test_fractional_orders_do_not_depend_on_cache_state(monkeypatch, warm_cache)
             assert isinstance(cold, str) == (order <= LEADING[name]), (name, order)
 
 
+@pytest.mark.parametrize("warm_order, order", [(F(7, 2), 3), (F(100, 37), 2), (F(100, 37), F(5, 2)),
+                                               (F(31, 12), F(7, 3))])
+def test_a_view_below_a_finer_cached_grid_is_the_cold_build(monkeypatch, warm_order, order):
+    # a cache built at warm_order sits on a grid finer than order needs: the
+    # view keeps none of its extra slots (g1 at 3 after 7/2 has ram 1, not 2)
+    monkeypatch.setattr(modular, "_cache", {})
+    for name in NAMES:
+        named_series(name, warm_order)
+    warm_cache = modular._cache
+    for name in NAMES:
+        cold, warm = _cold_and_warm(monkeypatch, name, order, warm_cache)
+        assert cold == warm, (name, warm_order, order)
+
+
 # the public builders a name has besides named_series
 BUILDERS = {"phi": phi_series, "eta": eta_series, "g1": partial(gi_series, 1), "g2": partial(gi_series, 2),
             "g3": partial(gi_series, 3), "delta": delta_series, "j": j_series}
