@@ -36,12 +36,35 @@ summation order and the operand order of each exponent are those of the
 term-by-term sum: every value is reproducible to the bit, and the
 residuals the identity checks report depend on it.
 
-A sum has a tau part, ``_tau_part`` (tau, Im tau, the window's half-width),
-and a z part, ``_sum``, the one summation loop.  ``theta_k`` keeps the tau
-part of the last tau object it was given and reuses it while consecutive
-calls pass that same object.  A window wider than _MAX_WINDOW terms, or with
-an end that is not finite, raises ConvergenceError; a z that is not finite
-raises ValueError.
+A sum stops once its remaining terms cannot change a bit.  With a = Im tau
+and b = Im z, term n has modulus exp(pi*b^2/a - pi*a*(n - center)^2).  Let
+S be the sum of the first J terms of the order, |p| <= 1/2.  Then:
+
+  1. the (J+1)-th nearest integer to any t is at least J/2 away, so every
+     later n has |n - center| >= |n - t| - |p| >= J/2 - |p| >= 0;
+  2. so every later term is at most B = exp(pi*b^2/a - pi*a*(J/2 - |p|)^2);
+  3. in round-to-nearest x + d == x whenever |d| < 2^-54 |x|, so if 2^54 B
+     is below |Re S| and |Im S|, no later addition moves a bit of S.
+
+The check asks for 2^55 B floored at 2^-1000, with pi*a shrunk by 2^-30:
+the factor 2 covers the rounding of B and of each term's exp, the shrink
+each exponent's rounding (a few ulps of pi*a*m^2), and the floor keeps
+|Re S| and |Im S| off the subnormals, where rounding is absolute.  It runs
+on untied windows within +-_REACH, where no key's rounding can reorder
+terms and the exponents stay small, and only while Im tau lies within a
+factor _PLAIN of 1 and Re tau, Re(z + c) within _PLAIN of 0, so that no
+later term's phase can overflow; any other window is summed whole.  J, the
+head, is set per tau part: the fewest terms whose bound at |p| = 1/2 lies
+2^-54 below exp(pi*b^2/a), 4 or 5 on the numeric checks.  Each cached window
+keeps its order split at each head it was asked for.
+
+A sum has a tau part, ``_tau_part`` (tau, Im tau, the window's half-width,
+the head and the bound's two rates), and a z part, ``_sum``, the one
+summation loop.  ``theta_k`` keeps the tau part of the last tau object it
+was given and reuses it while consecutive calls pass that same object.  A
+window wider than _MAX_WINDOW terms, or with an end that is not finite,
+raises ConvergenceError; a z that is not finite, or a finite z whose terms
+leave binary64, raises ValueError naming the z the caller passed.
 """
 
 from __future__ import annotations
@@ -50,11 +73,20 @@ import math
 from cmath import exp, isfinite
 from fractions import Fraction
 from math import ceil, floor
+from math import exp as _real_exp
 from operator import itemgetter
 
 TRUNCATION_RATIO = 1e-30
 _WINDOW_LOG = -math.log(TRUNCATION_RATIO)
 _MAX_WINDOW = 10**6
+# The tail check; see the module docstring.  _HEAD_LOG sets the head,
+# e^_LOG_MARGIN = 2^55 scales the bound and _FLOOR floors it; a bound whose
+# log reaches _LOG_MAX, past which math.exp overflows, stops nothing.
+_HEAD_LOG = 54 * math.log(2.0)
+_LOG_MARGIN = 55 * math.log(2.0)
+_FLOOR = 2.0**-1000
+_LOG_MAX = 709.0
+_PLAIN = 2.0**64
 
 
 class DomainError(ValueError):
@@ -76,59 +108,93 @@ def theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0
     ``extra`` widens the window (in units of log magnitude); it exists so
     tests can verify that enlarging the window does not change the value.
     """
+    if not 0.0 <= extra < math.inf:  # NaN too; a negative extra would narrow the window
+        raise ValueError(f"extra must be finite and not negative, got {extra}")
     return _sum(p, c, complex(z), _tau_part(complex(tau), extra))
 
 
-def _tau_part(tau: complex, extra: float = 0.0) -> tuple[complex, float, float]:
-    """(tau, Im(tau), the window's half-width): what a sum needs at any z."""
+def _tau_part(tau: complex, extra: float = 0.0) -> tuple:
+    """What a sum needs at any z: (tau, Im(tau), the window's half-width,
+    the number of terms summed before the tail check, pi/Im(tau), and
+    pi*Im(tau) shrunk by 2^-30)."""
     a = tau.imag
     if not a > 0.0:  # NaN too
         raise DomainError(f"Im(tau) must be positive, got {a}")
-    return tau, a, math.sqrt((_WINDOW_LOG + 8.0 + extra) / (math.pi * a)) + 1.0
+    half = math.sqrt((_WINDOW_LOG + 8.0 + extra) / (math.pi * a)) + 1.0
+    if 1.0 / _PLAIN < a < _PLAIN and abs(tau.real) < _PLAIN:
+        head = 1 + ceil(2.0 * math.sqrt(_HEAD_LOG / (math.pi * a)))
+    else:  # outside the tail bound's proof: whole windows
+        head = _MAX_WINDOW + 1
+    return tau, a, half, head, math.pi / a, math.pi * a * (1.0 - 2.0**-30)
 
 
-def _sum(p: float, c: float, z: complex, tau_part: tuple[complex, float, float]) -> complex:
+def _sum(p: float, c: float, z: complex, tau_part: tuple) -> complex:
     """The theta series with characteristic (p, c) at z and tau_part's tau."""
-    tau, a, half = tau_part
-    # |term(n)| = exp(-pi*a*u^2 + pi*b^2/a) with u = n + p + b/a, b = Im z
-    center = -z.imag / a - p
+    tau, a, half, head, spread, decay = tau_part
+    b = z.imag
+    # |term(n)| = exp(pi*b^2/a - pi*a*(n - center)^2) with b = Im z
+    center = -b / a - p
     try:
         n_min, n_max = floor(center - half), ceil(center + half)
     except (OverflowError, ValueError):  # an end at +-inf or NaN
-        raise _unsummable(z, center, half) from None
+        raise _unsummable(z, tau, center, half) from None
     if n_max - n_min > _MAX_WINDOW:
-        raise _unsummable(z, center, half, n_max - n_min)
+        raise _unsummable(z, tau, center, half, n_max - n_min)
     twice = 2.0 * (center - p)
     cell = floor(twice)
     if _TIE_MARGIN < twice - cell < 1.0 - _TIE_MARGIN:
         key = (p, n_min, n_max, cell)
-        terms = _ORDERS.get(key)
-        if terms is None:
-            terms = _sorted_terms(p, n_min, n_max, center)
+        splits = _ORDERS.get(key)
+        if splits is None:
+            splits = {}
             if (p in _CHARACTERISTIC.values() and -_REACH <= n_min and n_max <= _REACH
                     and len(_ORDERS) < _MAX_ORDERS):
-                _ORDERS[key] = terms
-    else:
-        terms = _sorted_terms(p, n_min, n_max, center)
+                _ORDERS[key] = splits
+        terms = splits.get(head)
+        if terms is None:
+            terms = splits[head] = _split(p, n_min, n_max, center, head, splits)
+    else:  # a tie: summed whole, in the stable sort's order
+        terms = _sorted_terms(p, n_min, n_max, center), (), 0.0
+    first, rest, gap = terms
     total = 0.0 + 0.0j
     zc = z + c
-    for tau_coeff, z_coeff in terms:
-        total += exp(tau_coeff * tau + z_coeff * zc)
+    try:
+        for tau_coeff, z_coeff in first:
+            total += exp(tau_coeff * tau + z_coeff * zc)
+        if rest:
+            # 2^55 times the bound on every later term; see the module docstring
+            log_bound = spread * b * b - decay * gap + _LOG_MARGIN
+            if log_bound < _LOG_MAX and -_PLAIN < zc.real < _PLAIN:
+                bound = _real_exp(log_bound) + _FLOOR
+            else:
+                bound = math.inf
+            if not (abs(total.real) > bound and abs(total.imag) > bound):
+                for tau_coeff, z_coeff in rest:
+                    total += exp(tau_coeff * tau + z_coeff * zc)
+    except ValueError:  # cmath.exp of a term whose phase is infinite
+        raise _z_error(z, tau) from None
     if not isfinite(total):
         if not isfinite(z):
-            raise _unsummable(z, center, half)
+            raise _z_error(z, tau)
         raise OverflowError("theta summation overflowed binary64")
     return total
 
 
-def _unsummable(z: complex, center: float, half: float, terms: int | None = None) -> Exception:
-    """ValueError for a z that is not finite, else ConvergenceError for a
+def _unsummable(z: complex, tau: complex, center: float, half: float, terms: int | None = None) -> Exception:
+    """_z_error for a z that is not finite, else ConvergenceError for a
     window past the cap: by its term count, or by its half-width where the
     count is unknown (an end not finite) or longer than 15 digits."""
     if not isfinite(z):
-        return ValueError(f"z must be finite, got {z}")
+        return _z_error(z, tau)
     size = f"{terms} terms" if terms and terms < 10**15 else f"half-width {half:.3g} about n = {center:.3g}"
     return ConvergenceError(f"window of {size} exceeds cap; Im(tau) too small")
+
+
+def _z_error(z: complex, tau: complex) -> ValueError:
+    """ValueError naming z: not finite, or finite with terms past binary64."""
+    if not isfinite(z):
+        return ValueError(f"z must be finite, got {z}")
+    return ValueError(f"theta terms at z = {z}, tau = {tau} leave binary64")
 
 
 _IPI = 1j * math.pi
@@ -141,8 +207,9 @@ _TIE_MARGIN = 1e-9
 # The most windows kept: 1024 windows as wide as the reach allow take
 # ~16 MiB, and the numeric checks fill 211.
 _MAX_ORDERS = 1024
-# (p, n_min, n_max, floor(2t)) -> _sorted_terms of that window, for the
-# ten characteristics; see the module docstring.
+# (p, n_min, n_max, floor(2t)) -> {head: _split of that window}, for the
+# ten characteristics; see the module docstring.  A window is asked for
+# the one or two heads of the Im(tau) that give its width.
 _ORDERS = {}
 
 
@@ -157,8 +224,25 @@ def _sorted_terms(p: float, n_min: int, n_max: int, center: float) -> tuple:
     return tuple((tau_coeff, z_coeff) for _, tau_coeff, z_coeff in rows)
 
 
+def _split(p: float, n_min: int, n_max: int, center: float, head: int, splits: dict) -> tuple:
+    """The window's _sorted_terms as (the first head terms, the rest,
+    (head/2 - |p|)^2), or (all of them, (), 0.0) where the tail bound is not
+    proven: |p| > 1/2, or a window past the reach.  The terms are those of a
+    split in ``splits`` if there is one."""
+    if splits:
+        first, rest, _ = next(iter(splits.values()))
+        terms = first + rest
+    else:
+        terms = _sorted_terms(p, n_min, n_max, center)
+    if abs(p) <= 0.5 and -_REACH <= n_min and n_max <= _REACH:
+        return terms[:head], terms[head:], (0.5 * head - abs(p)) ** 2
+    return terms, (), 0.0
+
+
 def reduce_index(k) -> Fraction:
     """Reduce a theta index (integer or half-integer) modulo 5 into [0, 5)."""
+    if isinstance(k, str):  # Fraction would parse it
+        raise TypeError(f"theta index must be a number, got {k!r}")
     k = Fraction(k)
     if k.denominator not in (1, 2):
         raise ValueError(f"theta index must be integer or half-integer, got {k}")
@@ -189,7 +273,10 @@ def theta_k(k, z: complex, tau: complex) -> complex:
     last = _last_tau
     if last[0] is not tau:  # identity, not ==: taus equal but for a zero's sign stay apart
         last = _last_tau = (tau, _tau_part(5 * tau))
-    return _sum(p, 2.5, 5 * z, last[1]) / 1j
+    try:
+        return _sum(p, 2.5, 5 * z, last[1]) / 1j
+    except ValueError:  # it names 5z and 5tau, and 5z may overflow a finite z
+        raise _z_error(z, tau) from None
 
 
 def theta_vector(z: complex, tau: complex) -> tuple[complex, ...]:
@@ -228,7 +315,7 @@ def phi_numeric(tau: complex) -> complex:
     t2 = theta_k(2, 0.0, tau)
     if abs(t2) < 1e-30:
         raise ZeroDivisionError("theta_2(0, tau) vanished; tau outside the usable region")
-    _, a, half = _tau_part(5 * tau)
+    _, a, half, *_ = _tau_part(5 * tau)
     phases = (abs(5 * tau.real) * (0.5 * a**-1.5 + 2 / (math.e * a))
               + 5 / a + 10 * math.pi / math.sqrt(2 * math.pi * math.e * a))
     for k, value in ((1, t1), (2, t2)):

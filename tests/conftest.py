@@ -12,6 +12,7 @@ package's order, ascending |n + 2p + Im z/Im tau| with ties in ascending n,
 which is not quite descending magnitude (that would be ascending
 |n + p + Im z/Im tau|).  The package sorts a window once and looks its
 order up after; this one shares no cache with it.
+``reference_terms`` lists the window's terms in that order.
 ``reference_theta_transforms`` is the ``theta-transforms`` check body with
 every theta value evaluated separately.
 """
@@ -29,6 +30,16 @@ _REF_MAX_WINDOW = 10**6
 
 
 def reference_theta_char(p: float, c: float, z: complex, tau: complex, *, extra: float = 0.0) -> complex:
+    total = 0.0 + 0.0j
+    for term in reference_terms(p, c, z, tau, extra=extra):
+        total += term
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise OverflowError("theta summation overflowed binary64")
+    return total
+
+
+def reference_terms(p: float, c: float, z: complex, tau: complex, *, extra: float = 0.0) -> list:
+    """Every term of the window, in the package's summation order."""
     z = complex(z)
     tau = complex(tau)
     a = tau.imag
@@ -43,14 +54,12 @@ def reference_theta_char(p: float, c: float, z: complex, tau: complex, *, extra:
     if n_max - n_min > _REF_MAX_WINDOW:
         raise ConvergenceError(f"window of {n_max - n_min} terms exceeds cap; Im(tau) too small")
     ns = sorted(range(n_min, n_max + 1), key=lambda n: abs(n + p - center))
-    total = 0.0 + 0.0j
     ipi = 1j * math.pi
+    terms = []
     for n in ns:
         m = n + p
-        total += cmath.exp(ipi * m * m * tau + 2 * ipi * m * (z + c))
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise OverflowError("theta summation overflowed binary64")
-    return total
+        terms.append(cmath.exp(ipi * m * m * tau + 2 * ipi * m * (z + c)))
+    return terms
 
 
 def _reference_reduce_index(k) -> Fraction:

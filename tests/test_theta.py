@@ -2,6 +2,7 @@
 and consistency with the exact hauptmodul expansion."""
 
 import cmath
+import collections
 import hashlib
 import math
 import random
@@ -11,7 +12,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from conftest import reference_theta_char, reference_theta_k
+from conftest import reference_terms, reference_theta_char, reference_theta_k
 
 from bianchiq import identities, theta
 from bianchiq.theta import (
@@ -77,6 +78,12 @@ class TestThetaChar:
     def test_convergence_error(self):
         with pytest.raises(ConvergenceError):
             theta_char(0.5, 0.5, 0.0, 1e-12j)
+
+    @pytest.mark.parametrize("extra", [-76.9, -1e-300, -80.0, math.inf, math.nan])
+    def test_extra_that_would_narrow_the_window_raises(self, extra):
+        # -76.9 used to return 0.27940+0.51073i for a sum of 0.27959+0.51086i
+        with pytest.raises(ValueError, match="extra must be finite and not negative"):
+            theta_char(0.3, 2.5, 0.1 + 0.2j, 0.3j, extra=extra)
 
 
 class TestThetaK:
@@ -156,6 +163,21 @@ class TestWindowsThatAreNotFinite:
         with pytest.raises(DomainError, match="got nan"):
             theta_k(1, 0.1, complex(0.2, float("nan")))
 
+    def test_theta_k_names_the_z_it_was_given(self):
+        # not 5z, which is (inf+nanj) here
+        with pytest.raises(ValueError, match=r"^z must be finite, got \(inf\+0j\)$"):
+            theta_k(1, complex("inf"), 1j)
+
+    @pytest.mark.parametrize("fn, args", [(theta_k, (1, 1e308 + 0j, 1j)), (theta_k, (1, 1e308j, 1j)),
+                                          (theta_char, (0.3, 2.5, 1e308 + 0j, 1j)),
+                                          (theta_char, (0.3, 2.5, 7e306 + 0j, 1j))])
+    def test_a_finite_z_past_binary64_says_so(self, fn, args):
+        # theta_k's 5z overflows; theta_char's phases reach inf in cmath.exp,
+        # at 7e306 only past the head, so the tail check must not skip them
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        assert str(info.value) == f"theta terms at z = {args[-2]}, tau = 1j leave binary64"
+
 
 # Each of the ten reduced indices, spelled as the callers spell it and
 # shifted out of [0, 5) both ways.
@@ -194,16 +216,22 @@ class TestBitIdentity:
                     assert repr(theta_k(k, z, tau)) == repr(reference_theta_k(k, z, tau))
 
     def test_theta_char_matches_reference(self):
+        # 8p reaches past |p| = 1/2, where a window is summed whole
         rng = random.Random(5)
         for z, tau in self.points(31, 20):
             p, c = rng.uniform(-1, 1), rng.uniform(-3, 3)
-            for extra in (0.0, 40.0):
+            for p, extra in ((p, 0.0), (p, 40.0), (8 * p, 0.0)):
                 got = theta_char(p, c, z, tau, extra=extra)
-                assert repr(got) == repr(reference_theta_char(p, c, z, tau, extra=extra))
+                assert repr(got) == repr(reference_theta_char(p, c, z, tau, extra=extra)), (p, z, tau, extra)
 
     @pytest.mark.parametrize("k", [0.3, F(1, 3), F(7, 3), -0.25])
     def test_invalid_index_raises(self, k):
         with pytest.raises(ValueError):
+            theta_k(k, 0.1j, 1j)
+
+    @pytest.mark.parametrize("k", ["3", "7/2"])
+    def test_a_str_index_raises(self, k):
+        with pytest.raises(TypeError, match="theta index must be a number"):
             theta_k(k, 0.1j, 1j)
 
 
@@ -326,6 +354,74 @@ class TestCoefficientTables:
             if check.kind == "numeric":
                 identities.run_identity(check.name, cfg)
         assert len(theta._ORDERS) == 211
+
+    def test_the_numeric_checks_sum_446339_terms(self, monkeypatch):
+        # cmath.exp calls over the same checks: 815,134 with every window
+        # summed whole; the tail check stops most sums after their head.
+        # theta_k is called as often as before.  identities is executed
+        # first, as its ten import-time multipliers would count too.
+        cfg = identities.VerifyConfig(samples=200, seed=1)
+        counts = collections.Counter()
+        for name in ("exp", "theta_k"):
+            monkeypatch.setattr(theta, name, lambda *args, name=name, real=getattr(theta, name):
+                                counts.update((name,)) or real(*args))
+        for check in identities.registry():
+            if check.kind == "numeric":
+                identities.run_identity(check.name, cfg)
+        assert counts == {"exp": 446339, "theta_k": 103882}
+
+
+class TestTailCheck:
+    """A sum stops after its head once 2^55 times the bound on every later
+    term is below both parts of the partial sum.  Next to an axis one part
+    of the head sum has cancelled, the later terms still move its bits, and
+    a looser check would stop too early."""
+
+    # (p, z, tau): one part of the head sum has cancelled until the largest
+    # later term is 2^-50 of it, and the tail bound is within 9% of that
+    # term.  p = 0.45 is not one of the ten characteristics.
+    NEAR_AXIS = [
+        (0.5, (-0.024999644979896752-2.0978999999999997j), (0.1+4.2j)),
+        (0.5, (0.47499963661842387-2.0978999999999997j), (0.1+4.2j)),
+        (0.5, (0.0005895798639031331+0.007500000000000007j), (0.1+7.5j)),
+        (0.5, (-0.09258413158941264+0.007500000000000007j), (0.1+7.5j)),
+        (0.3, (-0.014956716485705956-0.41579999999999995j), (0.1+4.2j)),
+        (0.3, (0.08074695156500883-0.7787j), (0.1+1.3j)),
+        (-0.4, (-0.44575987276831613-1.5037500000000001j), (0.1+7.5j)),
+        (-0.4, (-0.029709982249292097-1.5037500000000001j), (0.1+7.5j)),
+        (-0.4, (-0.3849634397774844-0.26065000000000005j), (0.1+1.3j)),
+        (-0.4, (-0.018601516259884203-0.26065000000000005j), (0.1+1.3j)),
+        (0.45, (0.255275423121188-1.6779j), (0.1+4.2j)),
+        (0.45, (-0.30027559858186503-1.6779j), (0.1+4.2j)),
+        (0.45, (-0.1751981059358663+0.7574999999999998j), (0.1+7.5j)),
+        (0.45, (0.22864706886664227+0.7574999999999998j), (0.1+7.5j)),
+    ]
+
+    @staticmethod
+    def head_and_rest(p, z, tau):
+        """The sum of the head terms, and the largest later term."""
+        terms = reference_terms(p, 2.5, z, tau)
+        head = theta._tau_part(tau)[3]
+        total = 0.0 + 0.0j
+        for term in terms[:head]:
+            total += term
+        return total, max(abs(term) for term in terms[head:])
+
+    @pytest.mark.parametrize("p, z, tau", NEAR_AXIS)
+    def test_next_to_an_axis_the_rest_is_summed(self, p, z, tau):
+        partial, largest = self.head_and_rest(p, z, tau)
+        assert 2.0**-60 < largest / min(abs(partial.real), abs(partial.imag)) < 2.0**-40
+        assert repr(reference_theta_char(p, 2.5, z, tau)) != repr(partial)
+        for extra in (0.0, 40.0):
+            assert repr(theta_char(p, 2.5, z, tau, extra=extra)) == \
+                repr(reference_theta_char(p, 2.5, z, tau, extra=extra)), extra
+
+    def test_away_from_the_axes_the_head_is_the_sum(self):
+        # the head alone gives the value: the check stops here
+        for p, z, tau in self.NEAR_AXIS:
+            z = complex(z.real + 0.1, z.imag)
+            partial, _ = self.head_and_rest(p, z, tau)
+            assert repr(theta_char(p, 2.5, z, tau)) == repr(partial) == repr(reference_theta_char(p, 2.5, z, tau))
 
 
 class TestTauCache:
