@@ -147,20 +147,26 @@ def test_exact_verdicts_keep_their_digest(order):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_VERDICT_DIGESTS[order]
 
 
-# sha256 of the 62 lines json.dumps(r.to_json(), sort_keys=True), one per
-# residual r of the 24 exact-series checks in registry order, each run plain
-# and then mutated, joined by newlines: every coefficient at the benchmark's
-# series order 60
-EXACT_RESIDUALS_AT_60 = "691a3452c777e9b26571869819828e1cd37888d7f7da40c28e5dc7b87f3fbccd"
+# The lines json.dumps(r.to_json(), sort_keys=True), one per residual r of
+# the 24 exact-series checks in registry order, each run plain and then
+# mutated, joined by newlines: every coefficient at the benchmark's series
+# order 60.  Rewrite the file with "\n".join(exact_residual_lines(60)).
+EXACT_RESIDUALS_AT_60 = pathlib.Path(__file__).parent / "pins" / "exact_residuals_at_60.txt"
+
+
+def exact_residual_lines(order):
+    cfg = VerifyConfig(series_order=order, samples=1)
+    return [json.dumps(r.to_json(), sort_keys=True)
+            for c in registry() if c.kind == "exact_series" for m in (False, True)
+            for r in c.runner(SeriesEnv(cfg, mutate=c.mutation_target if m else None))]
 
 
 def test_exact_residuals_keep_their_digest_at_order_60():
-    cfg = VerifyConfig(series_order=60, samples=1)
-    lines = [json.dumps(r.to_json(), sort_keys=True)
-             for c in registry() if c.kind == "exact_series" for m in (False, True)
-             for r in c.runner(SeriesEnv(cfg, mutate=c.mutation_target if m else None))]
-    assert len(lines) == 62
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_RESIDUALS_AT_60
+    lines = exact_residual_lines(60)
+    pinned = EXACT_RESIDUALS_AT_60.read_text().split("\n")
+    moved = next((i for i, (a, b) in enumerate(zip(lines, pinned)) if a != b), min(len(lines), len(pinned)))
+    assert lines == pinned, (f"{len(lines)} lines against {len(pinned)} pinned; first difference at line "
+                             f"{moved + 1}:\n got    {lines[moved:moved + 1]}\n pinned {pinned[moved:moved + 1]}")
 
 
 def test_each_exact_series_row_reads_named_series_and_mutates_one_it_reads():
