@@ -17,7 +17,8 @@ operations.  All values are immutable after construction.
 A series stores integers only: numerators ``nums`` over one positive
 denominator ``den``, in lowest terms and with leading zeros trimmed, so each
 value has one form.  Fractions appear only at the boundary (the constructor,
-``coeffs``, ``coefficient``, ``terms``, JSON).  A change of grid spreads the
+``coeffs``, ``coefficient``, ``terms``, JSON).  A ``QPoly`` is stored the
+same way, so its sums and products are integer work too.  A change of grid spreads the
 numerators to every m-th slot; truncation and ``reduce_ram`` are slices.
 
 * Only every s-th slot of a product is computed, where the stride s is the
@@ -653,49 +654,63 @@ def pochhammer_product(factors, prefactor_exp, order) -> PuiseuxSeries:
 
 
 class QPoly:
-    """Dense univariate polynomial over Q; index i holds the coefficient
-    of the i-th power.  The zero polynomial has an empty coefficient tuple."""
+    """Dense univariate polynomial over Q, stored as a series is: integer
+    numerators ``nums`` over one positive denominator ``den``, in lowest
+    terms, with trailing zeros trimmed, so each value has one form.  Index i
+    holds the coefficient of the i-th power, and ``coeffs`` is the same as a
+    tuple of Fractions, built on each read.  The zero polynomial has no
+    numerators."""
 
     # _floats: the coefficients as complex, highest first, set on first use (see __call__)
-    __slots__ = ("coeffs", "_floats")
+    __slots__ = ("nums", "den", "_floats")
 
     def __init__(self, coeffs=()):
-        c = [_rat(v) for v in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        self._set(*_numerators(coeffs))
+
+    def _set(self, nums, den):
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = 1 if den == 1 else math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(x // g for x in nums) if g != 1 else tuple(nums))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
     @classmethod
     def from_terms(cls, terms: dict) -> "QPoly":
-        if not terms:
-            return cls()
-        d = max(terms)
-        c = [Fraction(0)] * (d + 1)
-        for k, v in terms.items():
-            c[k] += _rat(v)
-        return cls(c)
+        nums, den = _numerators(terms.values())
+        c = [0] * (max(terms, default=-1) + 1)
+        for k, x in zip(terms, nums):
+            c[k] += x
+        return _qpoly(c, den)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest power first."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QPoly([other])
         if not isinstance(other, QPoly):
             return NotImplemented
-        return QPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        d = math.lcm(self.den, other.den)
+        ma, mb = d // self.den, d // other.den
+        return _qpoly([a * ma + b * mb for a, b in zip_longest(self.nums, other.nums, fillvalue=0)], d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-v for v in self.coeffs])
+        return _qpoly([-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -705,15 +720,14 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QPoly([v * _rat(other) for v in self.coeffs])
+            p, q = _ratio(other)
+            return _qpoly([x * p for x in self.nums], self.den * q)
         if not isinstance(other, QPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return QPoly()
-        na, da = _numerators(self.coeffs)
-        nb, db = _numerators(other.coeffs)
-        d = da * db
-        return QPoly([Fraction(x, d) for x in _int_mul(na, nb, len(na) + len(nb) - 1)])
+        a, b = self.nums, other.nums
+        return _qpoly(_int_mul(a, b, len(a) + len(b) - 1), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -724,7 +738,10 @@ class QPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QPoly([v / _rat(other) for v in self.coeffs])
+            p, q = _ratio(other)
+            if not p:
+                raise ZeroDivisionError("QPoly division by zero")
+            return _qpoly([x * q for x in self.nums], self.den * p)
         return NotImplemented
 
     def __eq__(self, other):
@@ -732,10 +749,13 @@ class QPoly:
             other = QPoly([other])
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as the number it equals
+        if len(self.nums) <= 1:
+            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
+        return hash((self.nums, self.den))
 
     def __call__(self, x):
         """Horner evaluation; x may be a Fraction, int, float, complex or series.
@@ -743,7 +763,7 @@ class QPoly:
         At a complex x, acc * x + c adds complex(float(c)) through
         Fraction.__radd__; those numbers are made once per polynomial and
         added directly, so every value keeps its bits."""
-        if not self.coeffs:
+        if not self.nums:
             return 0 * x
         series = isinstance(x, PuiseuxSeries)
         if series:
@@ -764,13 +784,20 @@ class QPoly:
 
     def in_power(self, k: int) -> "QPoly":
         """Reinterpret self(y) as a polynomial in x with y = x^k."""
-        c = [Fraction(0)] * (k * len(self.coeffs))
-        for i, v in enumerate(self.coeffs):
-            c[i * k] = v
-        return QPoly(c) if c else QPoly()
+        c = [0] * (k * len(self.nums))
+        c[::k] = self.nums
+        return _qpoly(c, self.den)
 
     def __repr__(self):
         if self.is_zero():
             return "QPoly(0)"
         parts = [f"{v}*x^{i}" for i, v in enumerate(self.coeffs) if v]
         return "QPoly(" + " + ".join(parts) + ")"
+
+
+def _qpoly(nums, den: int) -> QPoly:
+    """The polynomial sum nums[i]/den x^i in canonical form: trailing zeros
+    trimmed, den > 0, gcd(den, *nums) == 1."""
+    p = object.__new__(QPoly)
+    p._set(nums, den)
+    return p

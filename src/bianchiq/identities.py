@@ -229,12 +229,15 @@ def _hulek_craig(phi, g1, g2, g3):
 
 def _bring2_subst(phi, g1, g2, g3):
     # the 2-torsion parameters satisfy the x0-eliminated model, and the
-    # substitution xi = phi x2 / x1 carries it to the cubic at generic xi.
+    # substitution xi = phi x2 / x1 carries it to the cubic at generic xi:
+    # R_c = bring2(x, c; x) - x cubic(c, x^5) is cubic in c, so its vanishing
+    # as a polynomial in x at four values of c proves the identity for every
+    # xi, and by homogeneity phi^2 bring2(1, xi/phi; phi) = cubic(xi, phi^5).
+    # Each R_c is read at phi, so a broken formula fails below q^2.
     out = [curve.plane_model_residual("bring2", (phi, g), phi) for g in (g1, g2, g3)]
-    t = phi ** 5
-    for xi in (phi, 1 + phi, phi ** 2):
-        lhs = phi ** 2 * curve.plane_model_residual("bring2", (phi ** 0, xi / phi), phi)
-        out.append(lhs - curve.cubic(xi, t))
+    x = QPoly([0, 1])
+    for c in range(4):
+        out.append((curve.plane_model_residual("bring2", (x, c), x) - x * curve.cubic(c, x ** 5))(phi))
     return out
 
 

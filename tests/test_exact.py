@@ -281,6 +281,108 @@ class TestQPoly:
             assert got == QPoly(ref).coeffs
             assert all(type(c) is F for c in got)
 
+    def test_ring_ops_match_fraction_lists(self):
+        # every operation against the same one on Fraction lists, with
+        # denominators other than 1 and int and Fraction scalars mixed
+        rng = random.Random(31)
+
+        def coeff():
+            if rng.random() < 0.3:
+                return 0
+            n = rng.randint(-10 ** 4, 10 ** 4)
+            return n if rng.random() < 0.4 else F(n, rng.choice([1, 2, 3, 6, 7, 9, 10 ** 3 + 9]))
+
+        def ref_add(a, b):
+            n = max(len(a), len(b))
+            return [F(x) + F(y) for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+
+        def ref_mul(a, b):
+            out = [F(0)] * max(len(a) + len(b) - 1, 0)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        for _ in range(200):
+            a = [coeff() for _ in range(rng.randint(0, 8))]
+            b = [coeff() for _ in range(rng.randint(0, 8))]
+            s = rng.choice([3, -2, F(2, 3), F(-5, 7), F(6, 4)])
+            pa, pb = QPoly(a), QPoly(b)
+            assert (pa + pb).coeffs == QPoly(ref_add(a, b)).coeffs
+            assert (pa - pb).coeffs == QPoly(ref_add(a, [-x for x in b])).coeffs
+            assert (pa * pb).coeffs == QPoly(ref_mul(a, b)).coeffs
+            assert (pa * s).coeffs == (s * pa).coeffs == QPoly([x * s for x in a]).coeffs
+            assert (pa / s).coeffs == QPoly([F(x) / s for x in a]).coeffs
+            assert (pa + s).coeffs == (s + pa).coeffs == QPoly(ref_add(a, [s])).coeffs
+            assert (s - pa).coeffs == QPoly(ref_add([s], [-x for x in a])).coeffs
+            assert (pa ** 3).coeffs == QPoly(ref_mul(ref_mul(a, a), a)).coeffs
+
+    def test_canonical_form(self):
+        # den > 0, lowest terms, no trailing zero numerator
+        rng = random.Random(5)
+        polys = [QPoly(), QPoly([0, 0]), QPoly([F(2, 4), 0, F(-6, 8), 0]), QPoly([F(3, -6)])]
+        for _ in range(100):
+            a = QPoly([F(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(rng.randint(0, 6))])
+            b = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))])
+            polys += [a + b, a - a, a * b, a * F(-4, 9), a / -6, (a + 1) ** 2, a.in_power(3)]
+        for p in polys:
+            assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+            assert not p.nums or p.nums[-1] != 0
+            assert all(type(x) is int for x in p.nums) and type(p.nums) is tuple
+            assert p.coeffs == tuple(F(x, p.den) for x in p.nums)
+            assert all(type(c) is F for c in p.coeffs)
+
+    def test_one_value_built_every_way_is_one_value(self):
+        # 1/2 - 3/4 x^2
+        ways = [QPoly([F(1, 2), 0, F(-3, 4)]),
+                QPoly([F(2, 4), 0, F(-6, 8), 0, 0]),
+                QPoly.from_terms({2: F(-3, 4), 0: F(1, 2)}),
+                QPoly.from_terms({2: F(-1, 4), 0: F(1, 2), 3: 0}) + QPoly.from_terms({2: F(-1, 2)}),
+                QPoly([F(1, 4)]) * QPoly([2, 0, -3]),
+                QPoly([2, 0, -3]) / 4,
+                QPoly([1, 0, 5]) - QPoly([F(1, 2), 0, F(23, 4)]),
+                QPoly([F(1, 2), F(1, 3)]) * QPoly([1, F(-2, 3)]) + QPoly([0, 0, F(-19, 36)]),
+                QPoly([0, 1]) * QPoly([0, F(-3, 4)]) + F(1, 2)]
+        for p in ways:
+            assert p == ways[0] and hash(p) == hash(ways[0])
+            assert (p.nums, p.den) == ((2, 0, -3), 4)
+        assert len(set(ways)) == 1
+
+    @pytest.mark.parametrize("value", [3, -7, F(1, 2), F(-22, 9), 0])
+    def test_a_constant_hashes_as_the_number_it_equals(self, value):
+        p = QPoly([value])
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1 and {value: "x"}[p] == "x" and {p: "x"}[value] == "x"
+        assert p in {value} and value in {p}
+
+    def test_the_zero_polynomial_hashes_as_zero(self):
+        for zero in (QPoly(), QPoly([0, 0]), QPoly([1, 2]) - QPoly([1, 2]), QPoly.from_terms({})):
+            assert zero == 0 and zero == F(0) and hash(zero) == hash(0)
+            assert len({zero, 0, F(0)}) == 1
+
+    def test_a_polynomial_of_positive_degree_equals_no_number(self):
+        p = QPoly([3, 1])
+        assert p != 3 and p != QPoly([3]) and len({p, 3}) == 2
+
+    def test_curve_polynomials_keep_their_coefficients(self):
+        # the coefficients the Fraction-list QPoly held, written out
+        def spread(terms, scale=1):
+            return tuple(F(terms.get(i, 0)) * scale for i in range(max(terms) + 1))
+
+        p20 = {0: 1, 5: 228, 10: 494, 15: -228, 20: 1}
+        p30 = {0: 1, 5: -522, 10: -10005, 20: -10005, 25: 522, 30: 1}
+        assert curve.P20.coeffs == spread(p20)
+        assert curve.P30.coeffs == spread(p30)
+        assert curve.WEIERSTRASS_A.coeffs == spread(p20, F(-1, 48))
+        assert curve.WEIERSTRASS_B.coeffs == spread(p30, F(1, 864))
+        assert (curve.WEIERSTRASS_A.den, curve.WEIERSTRASS_B.den) == (48, 864)
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            QPoly([1, 2]) / 0
+        with pytest.raises(ZeroDivisionError):
+            QPoly([1, 2]) / F(0)
+
     def test_eval_fraction_and_complex(self):
         p = QPoly([1, 0, -2])
         assert p(F(1, 2)) == F(1, 2)

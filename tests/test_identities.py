@@ -251,11 +251,11 @@ def test_a_small_memo_cap_changes_no_residual(memos, monkeypatch):
 
 
 # a mutant's one scope, at the short target: products at working order 18
-MUTANT_MEMO_AT_SHORT_TARGET = {"bring2-subst": (74, 44), "hulek-craig-2tors": (25, 49)}
+MUTANT_MEMO_AT_SHORT_TARGET = {"bring2-subst": (25, 20), "hulek-craig-2tors": (25, 49)}
 
 
 @pytest.mark.parametrize("name, hits, misses", [
-    ("bring2-subst", 74, 44),
+    ("bring2-subst", 25, 20),
     ("hulek-craig-2tors", 25, 49),
 ])
 def test_memo_hits_at_the_benchmark_order(name, hits, misses, memos, targets):
@@ -269,6 +269,35 @@ def test_memo_hits_at_the_benchmark_order(name, hits, misses, memos, targets):
     assert targets == [60, 60, 10] and len(memos) == 3
     assert (memos[1].hits, memos[1].misses) == (hits, misses)
     assert (memos[2].hits, memos[2].misses) == MUTANT_MEMO_AT_SHORT_TARGET[name]
+
+
+# -- bring2-subst's generic substitution, proven as polynomials --------------
+
+
+@pytest.mark.parametrize("broken", [
+    lambda xi, t: xi ** 3 - xi ** 2 + t * xi - t,        # the constant term as -t
+    lambda xi, t: xi ** 3 - xi ** 2 + 2 * t * xi + t,    # a doubled xi term
+    lambda xi, t: xi ** 3 + t * xi + t,                  # the xi^2 term dropped
+], ids=["constant", "xi-term", "xi2-term"])
+def test_bring2_subst_fails_low_when_the_generic_identity_breaks(monkeypatch, broken):
+    # the three series residuals do not read the cubic, so the four
+    # polynomial residuals alone catch the break, each a series below q^2
+    cfg = VerifyConfig(series_order=30, samples=1)
+    assert run_identity("bring2-subst", cfg).status == "pass"
+    monkeypatch.setattr(curve, "cubic", broken)
+    residuals = get_check("bring2-subst").runner(SeriesEnv(cfg))
+    assert len(residuals) == 7 and all(r.is_zero() for r in residuals[:3])
+    result = run_identity("bring2-subst", cfg)
+    assert result.status == "fail" and F(result.first_failing_exponent) <= 2
+
+
+def test_bring2_subst_proof_residuals_are_zero_polynomials():
+    # R_c = bring2(x, c; x) - x cubic(c, x^5) for c = 0..3, which the check
+    # reads at phi
+    x = exact.QPoly([0, 1])
+    for c in range(4):
+        assert (curve.plane_model_residual("bring2", (x, c), x) - x * curve.cubic(c, x ** 5)).is_zero()
+        assert not (curve.plane_model_residual("bring2", (x, c), x) - curve.cubic(c, x ** 5)).is_zero()
 
 
 # -- the short target a mutant is looked for at first ------------------------
