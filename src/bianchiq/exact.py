@@ -17,9 +17,10 @@ operations.  All values are immutable after construction.
 A series stores integers only: numerators ``nums`` over one positive
 denominator ``den``, in lowest terms and with leading zeros trimmed, so each
 value has one form.  Fractions appear only at the boundary (the constructor,
-``coeffs``, ``coefficient``, ``terms``, JSON).  A ``QPoly`` is stored the
-same way, so its sums and products are integer work too.  A change of grid spreads the
-numerators to every m-th slot; truncation and ``reduce_ram`` are slices.
+``coeffs``, ``coefficient``, ``terms``, JSON).  A change of grid spreads the
+numerators to every m-th slot; truncation and ``reduce_ram`` are slices.  A
+``QPoly`` is stored the same way, so its sums and products are integer work
+too.
 
 * Only every s-th slot of a product is computed, where the stride s is the
   gcd of the relative indices of the nonzero numerators (5 for phi, 24 for
@@ -667,13 +668,14 @@ class QPoly:
     def __init__(self, coeffs=()):
         self._set(*_numerators(coeffs))
 
-    def _set(self, nums, den):
+    def _set(self, nums, den) -> "QPoly":
         nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
         g = 1 if den == 1 else math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         object.__setattr__(self, "nums", tuple(x // g for x in nums) if g != 1 else tuple(nums))
         object.__setattr__(self, "den", den // g)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -738,10 +740,7 @@ class QPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            p, q = _ratio(other)
-            if not p:
-                raise ZeroDivisionError("QPoly division by zero")
-            return _qpoly([x * q for x in self.nums], self.den * p)
+            return self * (1 / _rat(other))
         return NotImplemented
 
     def __eq__(self, other):
@@ -798,6 +797,4 @@ class QPoly:
 def _qpoly(nums, den: int) -> QPoly:
     """The polynomial sum nums[i]/den x^i in canonical form: trailing zeros
     trimmed, den > 0, gcd(den, *nums) == 1."""
-    p = object.__new__(QPoly)
-    p._set(nums, den)
-    return p
+    return object.__new__(QPoly)._set(nums, den)

@@ -324,7 +324,7 @@ class TestQPoly:
         for _ in range(100):
             a = QPoly([F(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(rng.randint(0, 6))])
             b = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))])
-            polys += [a + b, a - a, a * b, a * F(-4, 9), a / -6, (a + 1) ** 2, a.in_power(3)]
+            polys += [a + b, a - a, a * b, a * F(-4, 9), a / -6, (a + 1) ** 2]
         for p in polys:
             assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
             assert not p.nums or p.nums[-1] != 0
