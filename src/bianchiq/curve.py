@@ -130,11 +130,10 @@ def max_quadric_residual(P, phi) -> float:
 
 def neutral(phi):
     """O = (0 : phi : -1 : 1 : -phi)."""
-    if isinstance(phi, PuiseuxSeries):
-        one = phi ** 0
-        zero = one - one
-        return (zero, phi, -one, one, -phi)
-    return (0j, complex(phi), -1 + 0j, 1 + 0j, -complex(phi))
+    one = phi ** 0
+    zero = one - one
+    # zero - one, not -one: at a complex phi that is -1 + 0j, not -1 - 0j
+    return (zero, phi, zero - one, one, -phi)
 
 
 def negate(P):

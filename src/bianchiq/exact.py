@@ -12,7 +12,9 @@ Every operation propagates the tightest provable truncation:
 
 so a coefficient inside the reported window is always exact, never an
 artifact of discarded tail terms.  Ramifications are merged by lcm on binary
-operations.  All values are immutable after construction.
+operations.  No change of grid moves the window: ``reduce_ram`` goes to the
+coarsest grid carrying both the nonzero exponents and the truncation.  All
+values are immutable after construction.
 
 A series stores integers only: numerators ``nums`` over one positive
 denominator ``den``, in lowest terms and with leading zeros trimmed, so each
@@ -47,9 +49,9 @@ too.
   share an entry, and scalar products are not stored.  One scope holds at
   most _MAX_MEMO_SLOTS numerators and makes, without storing, any product
   past that.  Outside a scope nothing is stored.
-* Each series keeps its stride once computed.  A product that reads only a
-  prefix of an operand takes the prefix's own stride, which can be larger:
-  phi + 7q^7 has stride 1, but read below q^7 it has phi's stride 5.
+* Each series keeps its stride once computed, and every product or
+  inverse that reads it uses that one stride, whatever prefix it reads:
+  the stride divides every nonzero index of any prefix.
 * The inverse runs Newton's iteration w <- w - w*(u*w - 1) on that integer
   multiply, doubling the precision at each step (Brent and Kung, JACM 25,
   1978).  A leading numerator u0 other than 1 is handled on the same path:
@@ -116,7 +118,7 @@ class PuiseuxSeries:
     The zero-through-window series is represented with lo == trunc.
     """
 
-    # _step: the stride of nums, set on first use (see _stride_below)
+    # _step: the stride of nums, set on first use (see _kept_stride)
     __slots__ = ("ram", "lo", "trunc", "den", "nums", "_step")
 
     def __init__(self, ram: int, lo: int, trunc: int, coeffs):
@@ -141,11 +143,8 @@ class PuiseuxSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
 
-    def _stride_below(self, n: int) -> int:
-        """The stride of the first n numerators.  A whole read takes the
-        stride kept on first use; a prefix can have a larger one."""
-        if n < len(self.nums):
-            return _stride(self.nums[:n])
+    def _kept_stride(self) -> int:
+        """The stride of the numerators, kept on first use."""
         try:
             return self._step
         except AttributeError:
@@ -247,20 +246,13 @@ class PuiseuxSeries:
         """Same series on the finer grid ram*m."""
         return self if m == 1 else self._spread(self.ram * m, m)
 
-    def reduce_ram(self, whole: bool = False) -> "PuiseuxSeries":
-        """Smallest ramification carrying the same nonzero exponents, and
-        with ``whole`` the truncation too, so the window stays the same.
-
-        Otherwise the truncation is rounded down to the coarser grid, which
-        only ever weakens the claimed window, never widens it.
-        """
-        if self.is_zero() and not whole:
-            return _of(1, self.trunc // self.ram, self.trunc // self.ram, (), 1)
-        d = _stride(self.nums, math.gcd(self.ram, self.lo, self.trunc if whole else 0))
+    def reduce_ram(self) -> "PuiseuxSeries":
+        """The same series on the coarsest grid carrying its nonzero
+        exponents and its truncation, so the window stays the same."""
+        d = _stride(self.nums, math.gcd(self.ram, self.lo, self.trunc))
         if d == 1:
             return self
-        n = self.trunc // d - self.lo // d
-        return _of(self.ram // d, self.lo // d, self.trunc // d, self.nums[: n * d : d], self.den)
+        return _of(self.ram // d, self.lo // d, self.trunc // d, self.nums[::d], self.den)
 
     def truncate(self, order) -> "PuiseuxSeries":
         """Forget all coefficients at exponents >= order.
@@ -420,7 +412,7 @@ def _product(x: PuiseuxSeries, y: PuiseuxSeries) -> PuiseuxSeries:
     lo = a.lo + b.lo
     n = t - lo
     na, nb = a.nums[:n], b.nums[:n]
-    s = math.gcd(a._stride_below(n), b._stride_below(n)) or n
+    s = math.gcd(a._kept_stride(), b._kept_stride()) or n
     c = [0] * n
     c[::s] = _int_mul(na[::s], nb[::s], -(-n // s))
     return _of(a.ram, lo, t, c, a.den * b.den)
@@ -432,7 +424,7 @@ def _inverse(series: PuiseuxSeries) -> PuiseuxSeries:
         raise ZeroLeadingCoefficient("series is zero through its known window")
     n = series.trunc - series.lo
     u = series.nums
-    s = series._stride_below(n) or n
+    s = series._kept_stride() or n
     u0 = u[0]
     # V(x) = U(u0 x) / u0 on the compressed slots: integral, V0 = 1
     v = [x * u0 ** (k * s - 1) if k else 1 for k, x in enumerate(u[::s])]
@@ -757,18 +749,18 @@ class QPoly:
         return hash((self.nums, self.den))
 
     def __call__(self, x):
-        """Horner evaluation; x may be a Fraction, int, float, complex or series.
+        """Horner evaluation, acc = acc * x + c from acc = x * 0 + c, the
+        highest coefficient first; x may be a Fraction, int, float, complex
+        or series.  At a series x every c is added exactly, so the value is
+        known as far as x where x starts at or above q^0, and each product
+        lowers the window by |v| where x starts at q^v, v < 0.
 
         At a complex x, acc * x + c adds complex(float(c)) through
         Fraction.__radd__; those numbers are made once per polynomial and
         added directly, so every value keeps its bits."""
         if not self.nums:
             return 0 * x
-        series = isinstance(x, PuiseuxSeries)
-        if series:
-            window = Fraction(x.trunc - x.lo, x.ram)
-            cs = (PuiseuxSeries.monomial(0, window, v) for v in reversed(self.coeffs))
-        elif type(x) is complex:
+        if type(x) is complex:
             try:
                 cs = iter(self._floats)
             except AttributeError:
@@ -776,7 +768,7 @@ class QPoly:
                 cs = iter(self._floats)
         else:
             cs = reversed(self.coeffs)
-        acc = next(cs) if series else x * 0 + next(cs)
+        acc = x * 0 + next(cs)
         for v in cs:
             acc = acc * x + v
         return acc

@@ -24,7 +24,7 @@ from .exact import PuiseuxSeries, pochhammer_product
 # up by name when it runs, so a replacement set on the module is the one called.
 _CATALOG = {
     "phi": (Fraction(1, 5), lambda o: phi_series(o)),
-    "phi5": (1, lambda o: (named_series("phi", o + 1) ** 5).reduce_ram().truncate(o)),
+    "phi5": (1, lambda o: (named_series("phi", o + 1) ** 5).truncate(o).reduce_ram()),
     "g1": (0, lambda o: gi_series(1, o)),
     "g2": (Fraction(1, 2), lambda o: gi_series(2, o)),
     "g3": (Fraction(1, 2), lambda o: gi_series(3, o)),
@@ -33,7 +33,7 @@ _CATALOG = {
     "j10": (-1, lambda o: eta_quotient_series([(2, 1), (5, 5), (1, -1), (10, -5)], o)),
     "j": (-1, lambda o: j_series(o)),
     "eta": (Fraction(1, 24), lambda o: eta_series(o)),
-    "neg_g2_2tau": (1, lambda o: (-named_series("g2", o / 2 + 1).subst_q_power(2)).reduce_ram().truncate(o)),
+    "neg_g2_2tau": (1, lambda o: (-named_series("g2", o / 2 + 1).subst_q_power(2)).truncate(o).reduce_ram()),
 }
 LEADING = {name: lead for name, (lead, _) in _CATALOG.items()}
 NAMES = tuple(_CATALOG)
@@ -87,7 +87,7 @@ def gi_series(i: int, order) -> PuiseuxSeries:
         g = -(phi.subst_q_power(Fraction(1, 2)) * phi ** 2)
     else:
         g = phi * phi.subst_q_power(2) / phi.subst_q_power(Fraction(1, 2))
-    return g.reduce_ram().truncate(order)
+    return g.truncate(order).reduce_ram()
 
 
 def delta_series(order) -> PuiseuxSeries:
@@ -98,7 +98,7 @@ def delta_series(order) -> PuiseuxSeries:
     put on keeps that whole window."""
     order = _checked("delta", order)
     g1, g2, g3 = (named_series(f"g{i}", order) for i in (1, 2, 3))
-    return ((g1 - g2) * (g2 - g3) * (g3 - g1)).truncate(order).reduce_ram(whole=True)
+    return ((g1 - g2) * (g2 - g3) * (g3 - g1)).truncate(order).reduce_ram()
 
 
 def eta_quotient_series(spec, order) -> PuiseuxSeries:
@@ -121,7 +121,7 @@ def j_series(order) -> PuiseuxSeries:
             sigma3[n] += cube
     e4 = PuiseuxSeries(1, 0, m, [1] + [240 * s for s in sigma3[1:]])
     eta24 = pochhammer_product([(0, 1, 24)], Fraction(1), m)
-    return (e4 ** 3 / eta24).reduce_ram().truncate(order)
+    return (e4 ** 3 / eta24).truncate(order).reduce_ram()
 
 
 _cache: dict[str, PuiseuxSeries] = {}
@@ -141,4 +141,4 @@ def named_series(name: str, order=30) -> PuiseuxSeries:
     hit = _cache.get(name)
     if hit is None or hit.order < order:
         hit = _cache[name] = _CATALOG[name][1](order)
-    return hit.truncate(order).reduce_ram(whole=True)
+    return hit.truncate(order).reduce_ram()

@@ -152,7 +152,7 @@ def _sum(p: float, c: float, z: complex, tau_part: tuple) -> complex:
                 _ORDERS[key] = splits
         terms = splits.get(head)
         if terms is None:
-            terms = splits[head] = _split(p, n_min, n_max, center, head, splits)
+            terms = splits[head] = _split(p, n_min, n_max, center, head)
     else:  # a tie: summed whole, in the stable sort's order
         terms = _sorted_terms(p, n_min, n_max, center), (), 0.0
     first, rest, gap = terms
@@ -224,16 +224,11 @@ def _sorted_terms(p: float, n_min: int, n_max: int, center: float) -> tuple:
     return tuple((tau_coeff, z_coeff) for _, tau_coeff, z_coeff in rows)
 
 
-def _split(p: float, n_min: int, n_max: int, center: float, head: int, splits: dict) -> tuple:
+def _split(p: float, n_min: int, n_max: int, center: float, head: int) -> tuple:
     """The window's _sorted_terms as (the first head terms, the rest,
     (head/2 - |p|)^2), or (all of them, (), 0.0) where the tail bound is not
-    proven: |p| > 1/2, or a window past the reach.  The terms are those of a
-    split in ``splits`` if there is one."""
-    if splits:
-        first, rest, _ = next(iter(splits.values()))
-        terms = first + rest
-    else:
-        terms = _sorted_terms(p, n_min, n_max, center)
+    proven: |p| > 1/2, or a window past the reach."""
+    terms = _sorted_terms(p, n_min, n_max, center)
     if abs(p) <= 0.5 and -_REACH <= n_min and n_max <= _REACH:
         return terms[:head], terms[head:], (0.5 * head - abs(p)) ** 2
     return terms, (), 0.0

@@ -5,6 +5,7 @@ import cmath
 import hashlib
 import math
 import random
+import struct
 from fractions import Fraction as F
 
 import pytest
@@ -72,6 +73,20 @@ class TestQuadrics:
         o = curve.neutral(phi)
         for r in curve.quadric_residuals(o, phi):
             assert r.is_zero()
+
+    def test_neutral_keeps_the_domain_of_phi(self):
+        # a complex phi gives the complex coordinates, down to the signs of
+        # their zeros; a series phi gives series known through phi's own window
+        phi = phi_numeric(0.13 + 1.1j)
+        o = curve.neutral(phi)
+        assert all(type(c) is complex for c in o)
+        assert [struct.pack("<2d", c.real, c.imag) for c in o] == [
+            struct.pack("<2d", c.real, c.imag) for c in (0j, phi, -1 + 0j, 1 + 0j, -phi)]
+        phi = named_series("phi", 31)
+        o = curve.neutral(phi)
+        assert all(type(c) is PuiseuxSeries for c in o)
+        assert [c.coefficient(0) for c in o] == [0, 0, -1, 1, 0] and o[1] is phi and o[4] == -phi
+        assert all(c.order >= phi.order - phi.valuation() for c in o)
 
     def test_theta_vectors_on_curve(self):
         for _ in range(20):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchiq import curve, exact
+from bianchiq import curve, exact, modular
 from bianchiq.exact import (
     OrderExceeded,
     PuiseuxSeries,
@@ -429,8 +429,25 @@ def test_qpoly_at_exact_and_series_points_stays_exact(name):
         assert type(got) is F and got == sum(c * F(x) ** i for i, c in enumerate(p.coeffs))
     assert type(p(0.5)) is float and p(0.5) == fraction_horner(p, 0.5)
     phi = named_series("phi", 12)
-    want = sum((c * phi ** i for i, c in enumerate(p.coeffs) if c), PuiseuxSeries.zero(phi.order))
-    assert p(phi) == want
+    got = p(phi)
+    assert got.agrees_with(power_sum(p, phi)) and got.order >= phi.order
+
+
+def power_sum(p, x):
+    """sum c_i x^i, each power by the series product rule."""
+    return sum((c * x ** i for i, c in enumerate(p.coeffs) if c), 0 * x)
+
+
+@pytest.mark.parametrize("name", sorted(QPOLYS))
+def test_qpoly_at_a_series_is_the_power_sum_on_the_overlap(name):
+    # phi and g2 start above q^0, where Horner's value is known at least as
+    # far as x; j starts at q^-1, and each of the degree products by x
+    # lowers the window by one
+    p = QPOLYS[name]
+    for x in (named_series("phi", 12), named_series("g2", F(25, 2)), named_series("j", 30)):
+        got, want = p(x), power_sum(p, x)
+        assert got.agrees_with(want) and not got.is_zero()
+        assert got.order >= x.order + p.degree() * min(x.valuation(), 0)
 
 
 # -- differential test of the integer kernel ---------------------------------
@@ -666,10 +683,10 @@ def test_linear_operations_match_oracle(seed):
         if o < a.order:
             cases.append((a.truncate(o), expected_window(math.lcm(a.ram, o.denominator), o, da)))
         cases.append((a.truncate(a.order + 1), window(a)))
-        # the coarsest grid carrying the nonzero exponents
-        r = math.lcm(*(e.denominator for e in da))
-        floor = F(math.floor(a.order * r), r)
-        cases.append((a.reduce_ram(), expected_window(r, floor, da)))
+        # the same window on the coarsest grid carrying the nonzero
+        # exponents and the order
+        r = math.lcm(a.order.denominator, *(e.denominator for e in da))
+        cases.append((a.reduce_ram(), expected_window(r, a.order, da)))
         # q -> q^k maps the grid unit 1/ram to k/ram
         k = F(rng.randint(1, 6), rng.randint(1, 6))
         cases.append((a.subst_q_power(k), expected_window(F(k, a.ram).denominator, a.order * k,
@@ -764,13 +781,54 @@ def test_reduce_ram():
     s = PuiseuxSeries.from_terms({1: 2, 3: -1}, 6, ram=1)._rescaled(10)
     assert s.ram == 10
     r = s.reduce_ram()
-    assert r.ram == 1 and r.coefficient(1) == 2 and r.coefficient(3) == -1
-    # rounded down to the coarser grid, or kept whole on the coarsest grid carrying it
-    assert s.truncate(F(7, 2)).reduce_ram().order == 3
-    whole = s.truncate(F(7, 2)).reduce_ram(whole=True)
-    assert (whole.ram, whole.order, whole.coefficient(3)) == (2, F(7, 2), -1)
-    zero = PuiseuxSeries.zero(F(7, 2), ram=10).reduce_ram(whole=True)
+    assert (r.ram, r.order, r.coefficient(1), r.coefficient(3)) == (1, 6, 2, -1)
+    # an order off the exponents' grid is kept, on the coarsest grid carrying it
+    half = s.truncate(F(7, 2)).reduce_ram()
+    assert (half.ram, half.order, half.coefficient(3)) == (2, F(7, 2), -1)
+    zero = PuiseuxSeries.zero(F(7, 2), ram=10).reduce_ram()
     assert (zero.ram, zero.order, zero.is_zero()) == (2, F(7, 2), True)
+
+
+def coarsest_ram(s):
+    """lcm of the denominators of the order and the nonzero exponents."""
+    return math.lcm(s.order.denominator, *(e.denominator for e, _ in s.terms()))
+
+
+@pytest.mark.parametrize("name", modular.NAMES)
+def test_reduce_ram_keeps_every_catalog_window(name):
+    for order in (30, F(61, 2), F(100, 37), F(7, 2)):
+        if order <= modular.LEADING[name]:
+            continue
+        s = named_series(name, order)
+        for t in (s, s._rescaled(3), s.truncate(order - F(1, 7))):
+            r = t.reduce_ram()
+            assert r == t and r.order == t.order and r.ram == coarsest_ram(t)
+            assert_canonical(r)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reduce_ram_keeps_random_windows(seed):
+    rng = random.Random(seed)
+    off_grid = 0
+    for _ in range(60):
+        a = random_window(rng)
+        # an order between the points of the exponents' grid, then a finer grid
+        a = a.truncate(a.order - F(1, rng.choice((3, 7, 2 * a.ram))))._rescaled(rng.choice((1, 2, 3)))
+        r = a.reduce_ram()
+        assert r == a and r.order == a.order and r.ram == coarsest_ram(a)
+        assert_canonical(r)
+        off_grid += r.order.denominator > math.lcm(*(e.denominator for e, _ in a.terms()))
+    assert off_grid > 20
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_equal_series_on_other_grids_hash_equal(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(60):
+        a = random_window(rng)
+        a = a.truncate(a.order - F(1, rng.choice((1, 3, 7))))
+        for b in (a._rescaled(rng.choice((2, 3, 5))), a._rescaled(6).reduce_ram(), a.reduce_ram()):
+            assert b == a and hash(b) == hash(a)
 
 
 # -- the Kronecker product at its slot-width boundaries ---------------------
@@ -933,7 +991,7 @@ def test_add_matches_the_fraction_sum(edge):
         assert_canonical(got)
 
 
-# -- strides: cached for a whole operand, computed afresh for a prefix -------
+# -- strides: one per series, kept on first use ------------------------------
 
 
 def by_schoolbook(a, b):
@@ -944,22 +1002,13 @@ def by_schoolbook(a, b):
     return _of(a.ram, lo, t, schoolbook(list(a.nums), list(b.nums), t - lo), a.den * b.den)
 
 
-def test_a_prefix_keeps_its_own_stride(phi30, monkeypatch):
-    # 7q^7 breaks phi's stride 5; read below q^7 the prefix still has it
+def test_a_prefix_keeps_its_own_stride(phi30):
+    # 7q^7 breaks phi's stride 5; x * short reads x only below q^6, on x's
+    # whole stride 1, which divides every index the prefix holds
     x = phi30 + mono(7, phi30.order, 7)
     short = PuiseuxSeries(5, 0, 30, [1] + [0] * 14 + [F(-2, 3)] + [0] * 14)  # 1 - 2/3 q^3, mod q^6
-    slots = []
-
-    def counted(a, b, m):
-        slots.append(m)
-        return _int_mul(a, b, m)
-
-    monkeypatch.setattr(exact, "_int_mul", counted)
     for first, second in ((x, short), (x, x), (short, x), (x, short)):
         assert first * second == by_schoolbook(first, second)
-    # x * short reads x below q^6: 30 slots at stride 5, both times
-    assert slots[0] == slots[3] == 6
-    assert slots[1] == len(x.nums)
 
 
 def test_a_cached_stride_serves_later_products(phi30):

@@ -254,11 +254,12 @@ def test_a_small_memo_cap_changes_no_residual(memos, monkeypatch):
 MUTANT_MEMO_AT_SHORT_TARGET = {"bring2-subst": (25, 20), "hulek-craig-2tors": (25, 49)}
 
 
-@pytest.mark.parametrize("name, hits, misses", [
-    ("bring2-subst", 25, 20),
-    ("hulek-craig-2tors", 25, 49),
-])
-def test_memo_hits_at_the_benchmark_order(name, hits, misses, memos, targets):
+# a plain run's one scope at order 60, with the named-series cache warm
+MEMO_AT_THE_BENCHMARK_ORDER = {"bring2-subst": (25, 20), "hulek-craig-2tors": (25, 49)}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_AT_THE_BENCHMARK_ORDER))
+def test_memo_hits_at_the_benchmark_order(name, memos, targets):
     # a key that stopped hitting, or products that stopped repeating,
     # change the counts; the first run warms the named-series cache.  The
     # mutant is certified at the short target, so its counts are pinned on
@@ -267,7 +268,7 @@ def test_memo_hits_at_the_benchmark_order(name, hits, misses, memos, targets):
     for mutate in (False, False, True):
         run_identity(name, cfg, mutate=mutate)
     assert targets == [60, 60, 10] and len(memos) == 3
-    assert (memos[1].hits, memos[1].misses) == (hits, misses)
+    assert (memos[1].hits, memos[1].misses) == MEMO_AT_THE_BENCHMARK_ORDER[name]
     assert (memos[2].hits, memos[2].misses) == MUTANT_MEMO_AT_SHORT_TARGET[name]
 
 
