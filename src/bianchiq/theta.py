@@ -26,7 +26,7 @@ exp(((pi*i*m)*m)*tau + ((2*pi*i)*m)*(z + c)).
 The order is ascending |n - t| with t = center - p, and for n1 < n2 term
 n1 comes first exactly when t < (n1 + n2)/2.  Over a fixed window the
 order therefore depends only on floor(2t), so each window's coefficient
-pairs are built and sorted once and then looked up under
+pairs are built and sorted once per head and then looked up under
 (p, n_min, n_max, floor(2t)), for the ten characteristics and windows
 within +-_REACH.  When 2t lies within _TIE_MARGIN of an integer, two keys
 tie or nearly tie, and the stable sort's ascending-n rule or the keys'
@@ -56,7 +56,7 @@ factor _PLAIN of 1 and Re tau, Re(z + c) within _PLAIN of 0, so that no
 later term's phase can overflow; any other window is summed whole.  J, the
 head, is set per tau part: the fewest terms whose bound at |p| = 1/2 lies
 2^-54 below exp(pi*b^2/a), 4 or 5 on the numeric checks.  Each cached window
-keeps its order split at each head it was asked for.
+keeps its order split at each head it was asked for, each sorted on its own.
 
 A sum has a tau part, ``_tau_part`` (tau, Im tau, the window's half-width,
 the head and the bound's two rates), and a z part, ``_sum``, the one

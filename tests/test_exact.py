@@ -428,26 +428,13 @@ def test_qpoly_at_exact_and_series_points_stays_exact(name):
         got = p(x)
         assert type(got) is F and got == sum(c * F(x) ** i for i, c in enumerate(p.coeffs))
     assert type(p(0.5)) is float and p(0.5) == fraction_horner(p, 0.5)
-    phi = named_series("phi", 12)
-    got = p(phi)
-    assert got.agrees_with(power_sum(p, phi)) and got.order >= phi.order
-
-
-def power_sum(p, x):
-    """sum c_i x^i, each power by the series product rule."""
-    return sum((c * x ** i for i, c in enumerate(p.coeffs) if c), 0 * x)
-
-
-@pytest.mark.parametrize("name", sorted(QPOLYS))
-def test_qpoly_at_a_series_is_the_power_sum_on_the_overlap(name):
-    # phi and g2 start above q^0, where Horner's value is known at least as
-    # far as x; j starts at q^-1, and each of the degree products by x
-    # lowers the window by one
-    p = QPOLYS[name]
+    # sum c_i x^i on the common window.  phi and g2 start above q^0, where
+    # the value is known at least as far as x; j starts at q^-1, and each
+    # of the degree products by x lowers the window by one
     for x in (named_series("phi", 12), named_series("g2", F(25, 2)), named_series("j", 30)):
-        got, want = p(x), power_sum(p, x)
-        assert got.agrees_with(want) and not got.is_zero()
-        assert got.order >= x.order + p.degree() * min(x.valuation(), 0)
+        got = p(x)
+        assert got.agrees_with(sum((c * x ** i for i, c in enumerate(p.coeffs) if c), 0 * x))
+        assert not got.is_zero() and got.order >= x.order + p.degree() * min(x.valuation(), 0)
 
 
 # -- differential test of the integer kernel ---------------------------------
@@ -724,7 +711,7 @@ def test_equal_and_hash_agree_across_grids_and_scalings(raw, m, k):
     b = _of(ram * m, lo * m, (lo + len(nums)) * m, fine, den)
     c = _of(ram, lo, lo + len(nums), [k * x for x in nums], k * den)
     d = PuiseuxSeries(ram, lo, lo + len(nums), [F(x, den) for x in nums])
-    for s in (b, c, d):
+    for s in (b, c, d, b.reduce_ram()):
         assert_canonical(s)
         assert s == a and hash(s) == hash(a)
 
@@ -804,31 +791,6 @@ def test_reduce_ram_keeps_every_catalog_window(name):
             r = t.reduce_ram()
             assert r == t and r.order == t.order and r.ram == coarsest_ram(t)
             assert_canonical(r)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_reduce_ram_keeps_random_windows(seed):
-    rng = random.Random(seed)
-    off_grid = 0
-    for _ in range(60):
-        a = random_window(rng)
-        # an order between the points of the exponents' grid, then a finer grid
-        a = a.truncate(a.order - F(1, rng.choice((3, 7, 2 * a.ram))))._rescaled(rng.choice((1, 2, 3)))
-        r = a.reduce_ram()
-        assert r == a and r.order == a.order and r.ram == coarsest_ram(a)
-        assert_canonical(r)
-        off_grid += r.order.denominator > math.lcm(*(e.denominator for e, _ in a.terms()))
-    assert off_grid > 20
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_equal_series_on_other_grids_hash_equal(seed):
-    rng = random.Random(100 + seed)
-    for _ in range(60):
-        a = random_window(rng)
-        a = a.truncate(a.order - F(1, rng.choice((1, 3, 7))))
-        for b in (a._rescaled(rng.choice((2, 3, 5))), a._rescaled(6).reduce_ram(), a.reduce_ram()):
-            assert b == a and hash(b) == hash(a)
 
 
 # -- the Kronecker product at its slot-width boundaries ---------------------
