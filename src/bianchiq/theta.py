@@ -16,32 +16,34 @@ characteristics exist, one per reduced index 0..4 and 1/2..9/2, so
 
 Summation uses a window centered on the largest term, at n = center =
 -p - Im z/Im tau, sized so the first omitted term is below 1e-30 of the
-largest included one.  Terms are accumulated in ascending |m - center| with
-m = n + p (ties in ascending n).  That is |n + 2p + Im z/Im tau|, so the
+largest included one.  Terms are accumulated in ascending |n - t| with
+t = center - p, ties in ascending n.  That is |n + 2p + Im z/Im tau|, so the
 order is close to descending magnitude but not equal to it: at p = 0.3,
 z = 0, tau = i it runs n = -1, 0, -2, 1 while the magnitudes descend over
 n = 0, -1, 1, -2.  It is kept because the residuals are pinned.  Term n is
-exp(((pi*i*m)*m)*tau + ((2*pi*i)*m)*(z + c)).
+exp(((pi*i*m)*m)*tau + ((2*pi*i)*m)*(z + c)) with m = n + p.
 
-The order is ascending |n - t| with t = center - p, and for n1 < n2 term
-n1 comes first exactly when t < (n1 + n2)/2.  Over a fixed window the
-order therefore depends only on floor(2t), so each window's coefficient
-pairs are built and sorted once per head and then looked up under
-(p, n_min, n_max, floor(2t)), for the ten characteristics and windows
-within +-_REACH.  When 2t lies within _TIE_MARGIN of an integer, two keys
-tie or nearly tie, and the stable sort's ascending-n rule or the keys'
-rounding (~1e-14) decides the order: such a call is sorted afresh, as is
-any other p or wider window, and none of them is cached.  The window, the
-summation order and the operand order of each exponent are those of the
-term-by-term sum: every value is reproducible to the bit, and the
-residuals the identity checks report depend on it.
+For n1 < n2, term n1 comes first exactly when 2t <= n1 + n2, that is when
+cell < n1 + n2 with cell = ceil(2t) - 1.  Over a fixed window the order
+therefore depends only on cell, and it is the order of ascending
+|4n - 2*cell - 1|, an integer key that never ties: equal keys would need
+n1 + n2 = cell + 1/2.  t is the binary64 value center - p and doubling it
+is exact, so the order needs no margin and no float key.  Each window's
+coefficient pairs are built and sorted once per head and kept in _ORDERS
+under (p, n_min, n_max, cell, head), for the ten characteristics and
+windows within +-_REACH; any other p or wider window is built the same way
+on each call.  The window, the summation order and the operand order of
+each exponent are those of the term-by-term sum: every value is
+reproducible to the bit, and the residuals the identity checks report
+depend on it.
 
 A sum stops once its remaining terms cannot change a bit.  With a = Im tau
 and b = Im z, term n has modulus exp(pi*b^2/a - pi*a*(n - center)^2).  Let
 S be the sum of the first J terms of the order, |p| <= 1/2.  Then:
 
-  1. the (J+1)-th nearest integer to any t is at least J/2 away, so every
-     later n has |n - center| >= |n - t| - |p| >= J/2 - |p| >= 0;
+  1. the first J terms are at the J integers nearest to t, and the
+     (J+1)-th nearest is at least J/2 away, so every later n has
+     |n - center| >= |n - t| - |p| >= J/2 - |p| >= 0;
   2. so every later term is at most B = exp(pi*b^2/a - pi*a*(J/2 - |p|)^2);
   3. in round-to-nearest x + d == x whenever |d| < 2^-54 |x|, so if 2^54 B
      is below |Re S| and |Im S|, no later addition moves a bit of S.
@@ -50,13 +52,12 @@ The check asks for 2^55 B floored at 2^-1000, with pi*a shrunk by 2^-30:
 the factor 2 covers the rounding of B and of each term's exp, the shrink
 each exponent's rounding (a few ulps of pi*a*m^2), and the floor keeps
 |Re S| and |Im S| off the subnormals, where rounding is absolute.  It runs
-on untied windows within +-_REACH, where no key's rounding can reorder
-terms and the exponents stay small, and only while Im tau lies within a
-factor _PLAIN of 1 and Re tau, Re(z + c) within _PLAIN of 0, so that no
-later term's phase can overflow; any other window is summed whole.  J, the
-head, is set per tau part: the fewest terms whose bound at |p| = 1/2 lies
-2^-54 below exp(pi*b^2/a), 4 or 5 on the numeric checks.  Each cached window
-keeps its order split at each head it was asked for, each sorted on its own.
+on windows within +-_REACH, where the exponents stay small, and only while
+Im tau lies within a factor _PLAIN of 1 and Re tau, Re(z + c) within _PLAIN
+of 0, so that no later term's phase can overflow; any other window is
+summed whole.  J, the head, is set per tau part: the fewest terms whose
+bound at |p| = 1/2 lies 2^-54 below exp(pi*b^2/a), 4 or 5 on the numeric
+checks.
 
 A sum has a tau part, ``_tau_part`` (tau, Im tau, the window's half-width,
 the head and the bound's two rates), and a z part, ``_sum``, the one
@@ -74,7 +75,6 @@ from cmath import exp, isfinite
 from fractions import Fraction
 from math import ceil, floor
 from math import exp as _real_exp
-from operator import itemgetter
 
 TRUNCATION_RATIO = 1e-30
 _WINDOW_LOG = -math.log(TRUNCATION_RATIO)
@@ -140,21 +140,22 @@ def _sum(p: float, c: float, z: complex, tau_part: tuple) -> complex:
         raise _unsummable(z, tau, center, half) from None
     if n_max - n_min > _MAX_WINDOW:
         raise _unsummable(z, tau, center, half, n_max - n_min)
-    twice = 2.0 * (center - p)
-    cell = floor(twice)
-    if _TIE_MARGIN < twice - cell < 1.0 - _TIE_MARGIN:
-        key = (p, n_min, n_max, cell)
-        splits = _ORDERS.get(key)
-        if splits is None:
-            splits = {}
-            if (p in _CHARACTERISTIC.values() and -_REACH <= n_min and n_max <= _REACH
-                    and len(_ORDERS) < _MAX_ORDERS):
-                _ORDERS[key] = splits
-        terms = splits.get(head)
-        if terms is None:
-            terms = splits[head] = _split(p, n_min, n_max, center, head)
-    else:  # a tie: summed whole, in the stable sort's order
-        terms = _sorted_terms(p, n_min, n_max, center), (), 0.0
+    # n1 < n2 are summed in that order exactly when 2t <= n1 + n2, t = center - p
+    try:
+        cell = ceil(2.0 * (center - p)) - 1
+    except OverflowError:  # 2t past binary64, and with it the terms
+        raise _z_error(z, tau) from None
+    key = (p, n_min, n_max, cell, head)
+    terms = _ORDERS.get(key)
+    if terms is None:
+        ordered = _sorted_terms(p, n_min, n_max, cell)
+        inside = -_REACH <= n_min and n_max <= _REACH
+        if inside and abs(p) <= 0.5:
+            terms = ordered[:head], ordered[head:], (0.5 * head - abs(p)) ** 2
+        else:  # outside the tail bound's proof: summed whole
+            terms = ordered, (), 0.0
+        if inside and p in _CHARACTERISTIC.values() and len(_ORDERS) < _MAX_ORDERS:
+            _ORDERS[key] = terms
     first, rest, gap = terms
     total = 0.0 + 0.0j
     zc = z + c
@@ -171,7 +172,7 @@ def _sum(p: float, c: float, z: complex, tau_part: tuple) -> complex:
             if not (abs(total.real) > bound and abs(total.imag) > bound):
                 for tau_coeff, z_coeff in rest:
                     total += exp(tau_coeff * tau + z_coeff * zc)
-    except ValueError:  # cmath.exp of a term whose phase is infinite
+    except (OverflowError, ValueError):  # cmath.exp of a term past binary64, or of an infinite phase
         raise _z_error(z, tau) from None
     if not isfinite(total):
         if not isfinite(z):
@@ -202,46 +203,30 @@ _TWO_IPI = 2 * _IPI
 # The farthest n a cached window reaches; the numeric checks stay within
 # -6 <= n <= 6.
 _REACH = 64
-# How close 2t may come to an integer before the order is sorted afresh.
-_TIE_MARGIN = 1e-9
-# The most windows kept: 1024 windows as wide as the reach allow take
-# ~16 MiB, and the numeric checks fill 211.
+# The most entries kept, one per window and head: 1024 entries as wide as
+# the reach allows, 129 terms each, hold 16.6 MiB (tracemalloc), and the
+# numeric checks fill 302.
 _MAX_ORDERS = 1024
-# (p, n_min, n_max, floor(2t)) -> {head: _split of that window}, for the
-# ten characteristics; see the module docstring.  A window is asked for
-# the one or two heads of the Im(tau) that give its width.
+# (p, n_min, n_max, cell, head) -> (the first head terms, the rest,
+# (head/2 - |p|)^2), for the ten characteristics; see the module docstring.
 _ORDERS = {}
 
 
-def _sorted_terms(p: float, n_min: int, n_max: int, center: float) -> tuple:
+def _sorted_terms(p: float, n_min: int, n_max: int, cell: int) -> tuple:
     """The (pi*i*m*m, 2*pi*i*m) pairs of the window [n_min, n_max], m = n + p,
-    in ascending |m - center|, ties in ascending n (the sort is stable)."""
-    rows = []
-    for n in range(n_min, n_max + 1):
-        m = n + p
-        rows.append((abs(m - center), _IPI * m * m, _TWO_IPI * m))
-    rows.sort(key=itemgetter(0))
-    return tuple((tau_coeff, z_coeff) for _, tau_coeff, z_coeff in rows)
-
-
-def _split(p: float, n_min: int, n_max: int, center: float, head: int) -> tuple:
-    """The window's _sorted_terms as (the first head terms, the rest,
-    (head/2 - |p|)^2), or (all of them, (), 0.0) where the tail bound is not
-    proven: |p| > 1/2, or a window past the reach."""
-    terms = _sorted_terms(p, n_min, n_max, center)
-    if abs(p) <= 0.5 and -_REACH <= n_min and n_max <= _REACH:
-        return terms[:head], terms[head:], (0.5 * head - abs(p)) ** 2
-    return terms, (), 0.0
+    in ascending |4n - 2*cell - 1|: ascending |n - t|, ties in ascending n."""
+    ns = sorted(range(n_min, n_max + 1), key=lambda n: abs(4 * n - 2 * cell - 1))
+    return tuple((_IPI * m * m, _TWO_IPI * m) for m in (n + p for n in ns))
 
 
 def reduce_index(k) -> Fraction:
     """Reduce a theta index (integer or half-integer) modulo 5 into [0, 5)."""
     if isinstance(k, str):  # Fraction would parse it
         raise TypeError(f"theta index must be a number, got {k!r}")
-    k = Fraction(k)
-    if k.denominator not in (1, 2):
+    reduced = Fraction(k)
+    if reduced.denominator not in (1, 2):
         raise ValueError(f"theta index must be integer or half-integer, got {k}")
-    return k % 5
+    return reduced % 5
 
 
 # The ten reduced indices, and p = 1/2 - k/5 for each, keyed by float(k):

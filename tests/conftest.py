@@ -8,10 +8,12 @@ the package kernel.
 theta evaluator the package's fast path must reproduce bit for bit: the
 index reduced and p = 1/2 - k/5 computed on every call, every loop
 invariant recomputed per term, and the window sorted on every call into the
-package's order, ascending |n + 2p + Im z/Im tau| with ties in ascending n,
-which is not quite descending magnitude (that would be ascending
-|n + p + Im z/Im tau|).  The package sorts a window once and looks its
-order up after; this one shares no cache with it.
+package's order: ascending |n - t| with t = center - p, the binary64 value
+taken exactly as a Fraction, and ties in ascending n.  That is ascending
+|n + 2p + Im z/Im tau|, which is not quite descending magnitude (that would
+be ascending |n + p + Im z/Im tau|).  The package keys the same order by an
+integer and looks it up from a cache; this one sorts by Fractions and shares
+no code or cache with it.
 ``reference_terms`` lists the window's terms in that order.
 ``reference_theta_transforms`` is the ``theta-transforms`` check body with
 every theta value evaluated separately.
@@ -53,7 +55,8 @@ def reference_terms(p: float, c: float, z: complex, tau: complex, *, extra: floa
     n_max = math.ceil(center + half)
     if n_max - n_min > _REF_MAX_WINDOW:
         raise ConvergenceError(f"window of {n_max - n_min} terms exceeds cap; Im(tau) too small")
-    ns = sorted(range(n_min, n_max + 1), key=lambda n: abs(n + p - center))
+    t = Fraction(center - p)
+    ns = sorted(range(n_min, n_max + 1), key=lambda n: (abs(n - t), n))
     ipi = 1j * math.pi
     terms = []
     for n in ns:

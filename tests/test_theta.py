@@ -18,7 +18,6 @@ from bianchiq import identities, theta
 from bianchiq.theta import (
     _CHARACTERISTIC,
     _REACH,
-    _TIE_MARGIN,
     CancellationError,
     ConvergenceError,
     DomainError,
@@ -30,6 +29,8 @@ from bianchiq.theta import (
 )
 
 RNG = random.Random(91)
+# An offset of 2t = 2(center - p) from an integer: near a tie, but off it.
+NEAR_TIE = 1e-9
 
 
 def rand_z():
@@ -170,13 +171,18 @@ class TestWindowsThatAreNotFinite:
 
     @pytest.mark.parametrize("fn, args", [(theta_k, (1, 1e308 + 0j, 1j)), (theta_k, (1, 1e308j, 1j)),
                                           (theta_char, (0.3, 2.5, 1e308 + 0j, 1j)),
-                                          (theta_char, (0.3, 2.5, 7e306 + 0j, 1j))])
+                                          (theta_char, (0.3, 2.5, 7e306 + 0j, 1j)),
+                                          (theta_char, (0.3, 2.5, 1 + 12j, 0.1 + 0.3j)),
+                                          (theta_char, (0.3, 2.5, 1 + 1e5j, 0.1 + 1000j)),
+                                          (theta_char, (0.3, 2.5, 1e308j, 1j))])
     def test_a_finite_z_past_binary64_says_so(self, fn, args):
         # theta_k's 5z overflows; theta_char's phases reach inf in cmath.exp,
-        # at 7e306 only past the head, so the tail check must not skip them
+        # at 7e306 only past the head, so the tail check must not skip them;
+        # at 1+12j and 1+1e5j a term's modulus overflows in cmath.exp, and
+        # at 1e308j so does 2t = 2(center - p), which orders the window
         with pytest.raises(ValueError) as info:
             fn(*args)
-        assert str(info.value) == f"theta terms at z = {args[-2]}, tau = 1j leave binary64"
+        assert str(info.value) == f"theta terms at z = {args[-2]}, tau = {args[-1]} leave binary64"
 
 
 # Each of the ten reduced indices, spelled as the callers spell it and
@@ -224,10 +230,12 @@ class TestBitIdentity:
                 got = theta_char(p, c, z, tau, extra=extra)
                 assert repr(got) == repr(reference_theta_char(p, c, z, tau, extra=extra)), (p, z, tau, extra)
 
-    @pytest.mark.parametrize("k", [0.3, F(1, 3), F(7, 3), -0.25])
+    @pytest.mark.parametrize("k", [0.3, F(1, 3), F(7, 3), -0.25, 12.1])
     def test_invalid_index_raises(self, k):
-        with pytest.raises(ValueError):
+        # the index as the caller gave it: 0.3, not its binary fraction
+        with pytest.raises(ValueError) as info:
             theta_k(k, 0.1j, 1j)
+        assert str(info.value) == f"theta index must be integer or half-integer, got {k}"
 
     @pytest.mark.parametrize("k", ["3", "7/2"])
     def test_a_str_index_raises(self, k):
@@ -297,7 +305,7 @@ class TestCoefficientTables:
     def test_tables_stay_within_their_reach(self, monkeypatch):
         # whatever earlier tests cached: only the ten characteristics, and
         # only windows inside the reach
-        for p, n_min, n_max, _ in theta._ORDERS:
+        for p, n_min, n_max, _, _ in theta._ORDERS:
             assert p in _CHARACTERISTIC.values() and -_REACH <= n_min <= n_max <= _REACH
         # windows centred near n = -1000 and n = 1000, beyond the reach,
         # are summed but not cached (the largest terms are e^628 and e^471)
@@ -320,8 +328,8 @@ class TestCoefficientTables:
 
     def test_ties_agree_with_a_warm_cache(self, monkeypatch):
         # 2t just off an integer j caches the order of the cell on that
-        # side; at 2t = j itself, or a few ulps off it, the order is the
-        # stable sort's and must not come from that entry
+        # side; at 2t = j itself the tie goes to the lower n, which is the
+        # order of the cell below, so a tie reads and fills that entry
         for p in _CHARACTERISTIC.values():
             for a in (0.25, 1.0, 4.0, 9.0):
                 tau = complex(0.1, a)
@@ -329,7 +337,7 @@ class TestCoefficientTables:
                     b = self.im_z_at(p, a, j)
                     ties = [b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf),
                             b + 1e-16 * a, b - 1e-16 * a]
-                    warm = [self.im_z_at(p, a, j + s * 3 * _TIE_MARGIN) for s in (1, -1)]
+                    warm = [self.im_z_at(p, a, j + s * 3 * NEAR_TIE) for s in (1, -1)]
                     for first, then in ((warm, ties), (ties, warm)):
                         monkeypatch.setattr(theta, "_ORDERS", {})
                         for im_z in first + then:
@@ -338,6 +346,17 @@ class TestCoefficientTables:
                                 repr(reference_theta_char(p, 2.5, z, tau)), (p, a, j, im_z)
                         assert len(theta._ORDERS) == 2, (p, a, j)
 
+    # (p, z, tau) at exact ties, 2t = 2, 0 and 0, where a float key's
+    # rounding once summed the higher n first
+    EXACT_TIES = [(-0.1, 0.2 - 0.2j, 0.1 + 0.25j), (0.4, 0.2 - 0.2j, 0.1 + 0.25j), (0.4, 0.2 - 0.8j, 0.1 + 1j)]
+
+    @pytest.mark.parametrize("p, z, tau", EXACT_TIES)
+    def test_an_exact_tie_sums_the_lower_n_first_and_is_cached(self, p, z, tau, monkeypatch):
+        assert (2.0 * ((-z.imag / tau.imag - p) - p)).is_integer()
+        monkeypatch.setattr(theta, "_ORDERS", {})
+        assert repr(theta_char(p, 2.5, z, tau)) == repr(reference_theta_char(p, 2.5, z, tau))
+        assert len(theta._ORDERS) == 1
+
     def test_a_full_cache_takes_no_more_windows(self, monkeypatch):
         monkeypatch.setattr(theta, "_ORDERS", {})
         monkeypatch.setattr(theta, "_MAX_ORDERS", 3)
@@ -345,7 +364,7 @@ class TestCoefficientTables:
             assert repr(theta_k(2, z, tau)) == repr(reference_theta_k(2, z, tau))
         assert len(theta._ORDERS) == 3
 
-    def test_the_numeric_checks_fill_211_entries(self, monkeypatch):
+    def test_the_numeric_checks_fill_their_count_of_entries(self, monkeypatch):
         # the 43 numeric checks at the benchmark's 200 samples: a key that
         # stopped hitting, or one that split windows finer, changes the count
         monkeypatch.setattr(theta, "_ORDERS", {})
@@ -353,7 +372,7 @@ class TestCoefficientTables:
         for check in identities.registry():
             if check.kind == "numeric":
                 identities.run_identity(check.name, cfg)
-        assert len(theta._ORDERS) == 211
+        assert len(theta._ORDERS) == 302
 
     def test_the_numeric_checks_sum_446339_terms(self, monkeypatch):
         # cmath.exp calls over the same checks: 815,134 with every window
@@ -614,11 +633,11 @@ def pinned_calls(seed):
             yield theta_vector, (z, tau), {}
         if rng.random() < 0.1:
             yield phi_numeric, (tau,), {}
-    # 2t within 3 margins of a tie cell, and on it
+    # 2t within 3 NEAR_TIE of a tie, and on it
     for p in _CHARACTERISTIC.values():
         for a in (0.25, 1.0, 9.0):
             for j in (round(-4 * p) + d for d in (-1, 0, 2)):
-                for off in (0.0, 3 * _TIE_MARGIN, -3 * _TIE_MARGIN, _TIE_MARGIN / 2):
+                for off in (0.0, 3 * NEAR_TIE, -3 * NEAR_TIE, NEAR_TIE / 2):
                     im_z = TestCoefficientTables.im_z_at(p, a, j + off)
                     yield theta_char, (p, 2.5, complex(0.2, im_z), complex(0.1, a)), {}
                     yield theta_k, (rng.choice(ks[:10]), complex(0.04, im_z / 5), complex(0.02, a / 5)), {}
@@ -642,9 +661,50 @@ def pinned_calls(seed):
         yield phi_numeric, (tau,), {}
 
 
-# sha256 of the newline-joined pinned_line of every call in pinned_calls(seed)
+BLOCK = 1000
+
+
+def theta_digests(lines) -> tuple:
+    """sha256 of the newline-joined lines, and of each block of BLOCK lines."""
+    def digest(block):
+        return hashlib.sha256("\n".join(block).encode()).hexdigest()
+    return digest(lines), [digest(lines[i:i + BLOCK]) for i in range(0, len(lines), BLOCK)]
+
+
+# sha256 of the newline-joined pinned_line of every call in pinned_calls(seed),
+# and of each block of BLOCK lines, so that a failure names the first block
+# that moved; tests/pins/theta_lines.py prints the lines and the digests
 THETA_DIGESTS = {
-    23: "ca0913710b9bdf407f78e6db6b07888ba0237ae4e8b195d167d57ed1cedef57e",
+    23: "1a54d21dab43a3aff45cc42f2437520f371a1c5cc92aa7150d6aa633a70016c8",
+}
+THETA_BLOCK_DIGESTS = {
+    23: [
+        "217f2eca843b9c7f2a580829d5643c97bbee2a06777badebd37bf345a7857541",
+        "6ae0912f326248875757f21a376311f0b2c64c29a2c9d11d0562a374b84c78d4",
+        "e861e72dfffd5072b6d714463c2876f51568bde1ab94c92f19169a6451d353dc",
+        "83907e7db19fc5deef56bff95c55c90c690827cce0b4ad04ad98580e847ae211",
+        "d961b1645a4480b975aa7e7690c95ff2eed340d9d6d10c32ff373654e672691b",
+        "84f182df73a75b37b078ceccb8847efc8b8c03a1cd8bdd917745b25fd86546a7",
+        "528352893053109513b4d0bfeebe7b617da8d0751db9c4f4a3fad2eabad685ac",
+        "9119bbb9716c9ac33b55560a7e2a32ebf70b6b09ee3fbefbf46aed4130a5d263",
+        "98ba7916658de87294b521e7a45c548fca6edea4e3662dd4dc6ab3f3f951724f",
+        "c7a2a87abc8cdfeb77089ceecbbb9a0b2ed79a6bc863fcceb366ff50a83b6035",
+        "f2b4d5b5b0a110eb8f4a79fe27c72e7085f89f2a8da3097ad7f60d402f9dfc27",
+        "9b5cce65977ca0cb894c2766f5a6cb80570fa69dc2dc3ed2757943035685e4e0",
+        "b5191897c35be988f2b2d78650d42511151a06f23c0ef1138a8d1858abced5b4",
+        "7ff0556a7337511ac74be18539f134ef5e895566c91d6f74da35d04030ed4361",
+        "2cd6294e40a0437c40546b91b89b9032e716d50aac55b7b87694fae6f8f577e9",
+        "ac6a9550fd28671bcc9bdc6afa915445ffaaae0b8906d0790808409d3d0dddd6",
+        "e053c966bd2125ea8f0f160211ed4aaf406fd4a8522689b13e0bebac18f8c998",
+        "2f3187b6d104961400796220c914702360b8181361da1db164e3fa51c9c27b2b",
+        "acb816f4936b09f3e465d89713838429b454e786bf2cd83d68f46b04412cb4fb",
+        "51bc14ec08805c095d755cd243df27c8c353c197ac4c94ce05db519b274d43f9",
+        "532f4815fd1cabe1612360cfee2a9b17725842b9ebd8ce1a9f2c2f2e8e75e8e8",
+        "6ff6cffa133490dfb1d56ed9f2e805882208495e85c3d166fbc91321ac10c1dd",
+        "5b4e2732a5616d8576708a02b9c232a7a6f7f84da589a8b4e59a6707e2fe087d",
+        "9a2c9282f8dd0d213a2776709e87ab411a56a60ab6ee2d1c193c45ac85ebaa63",
+        "d0617b7b97cc50292d2677c78070ab9b9bb7cbe389895abfed428b38a7a0e2d2",
+    ],
 }
 
 
@@ -653,4 +713,10 @@ def test_theta_results_keep_their_bits(seed):
     lines = [pinned_line(fn, *args, **kwargs) for fn, args, kwargs in pinned_calls(seed)]
     raised = {line.split()[1].rstrip(":") for line in lines if line.split()[1].endswith(":")}
     assert raised == {"DomainError", "ConvergenceError", "OverflowError", "CancellationError", "ValueError"}
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == THETA_DIGESTS[seed]
+    whole, blocks = theta_digests(lines)
+    pinned = THETA_BLOCK_DIGESTS[seed]
+    moved = next((i for i, (got, want) in enumerate(zip(blocks, pinned)) if got != want), None)
+    assert moved is None, (f"lines {moved * BLOCK + 1}-{min(len(lines), (moved + 1) * BLOCK)} are the first "
+                           f"block that moved; diff tests/pins/theta_lines.py {seed} against a checkout before it")
+    assert len(blocks) == len(pinned), f"{len(lines)} lines against {len(pinned)} pinned blocks"
+    assert whole == THETA_DIGESTS[seed]
