@@ -6,6 +6,10 @@ formulas use only ring operations and ``1 / x``, which both domains
 provide.  The domains differ in one place, the zero test ``_vanishes``:
 for series it is exact through the known window, for numbers it compares
 moduli with a relative threshold times the size of the inputs.
+Solving the cubic below needs a complex phi (``cubic_roots`` and
+``two_torsion_points``); ``two_torsion_from_roots`` writes the 2-torsion
+points once, from roots given in either domain, such as the series g1, g2
+and g3.
 
 Curve, for a parameter phi:
 
@@ -248,17 +252,8 @@ def normalize_numeric(P):
 # -- torsion ----------------------------------------------------------------
 
 def cubic_roots(phi):
-    """Roots of cubic(xi, phi^5).
-
-    Numeric domain: Cardano's formula, each root polished by Newton steps,
-    sorted by (real, imag).  Series domain: the g_i expansions from the
-    modular module, so the root property remains a downstream check rather
-    than a construction.
-    """
-    if isinstance(phi, PuiseuxSeries):
-        from .modular import gi_series
-
-        return tuple(gi_series(i, phi.order) for i in (1, 2, 3))
+    """Roots of cubic(xi, phi^5) at a complex phi: Cardano's formula, each
+    root polished by Newton steps, sorted by (real, imag)."""
     t = complex(phi) ** 5
     # xi = y + 1/3 gives the depressed cubic y^3 + p y + q
     p = t - 1 / 3
@@ -317,13 +312,19 @@ def curve_discriminant_value(phi):
     return 4 * t * disc_factor(t)
 
 
+def two_torsion_from_roots(phi, roots):
+    """The 2-torsion point (phi^3 + phi^3/g : phi : g : g : phi) of each
+    given root g of cubic(xi, phi^5), in either domain."""
+    phi3 = phi ** 3
+    return tuple((phi3 + phi3 / g, phi, g, g, phi) for g in roots)
+
+
 def two_torsion_points(phi):
-    """The three 2-torsion points (phi^3 + phi^3/g : phi : g : g : phi)."""
+    """The three 2-torsion points at a complex phi, from its cubic's roots."""
     # the discriminant's factor phi^5 makes it vanish wherever phi does
     if _vanishes((curve_discriminant_value(phi),)):
         raise SingularCurve("discriminant zero test fired; 2-torsion is degenerate")
-    phi3 = phi ** 3
-    return tuple((phi3 + phi3 / g, phi, g, g, phi) for g in cubic_roots(phi))
+    return two_torsion_from_roots(phi, cubic_roots(phi))
 
 
 def five_torsion_points(phi: complex):
@@ -349,7 +350,6 @@ def plane_model_residual(model: str, coords, phi=None):
     quintic      (x0, x1, x2; phi)  degree-5 plane image of the curve
     hulek_craig  (x0, x1, x2)       2-torsion parameter curve, genus 4
     bring2       (x1, x2; phi)      the same curve with x0 eliminated
-    kk           (xi; phi)          the cubic at (xi, phi^5)
     weber        (x, y)             y^5 (x-1) - (x+1) x^2
     """
     if model == "quintic":
@@ -374,9 +374,6 @@ def plane_model_residual(model: str, coords, phi=None):
     if model == "bring2":
         x1, x2 = coords
         return phi ** 4 * x1 ** 2 * x2 + phi ** 3 * x1 ** 3 + phi * x2 ** 3 - x1 * x2 ** 2
-    if model == "kk":
-        (xi,) = coords
-        return cubic(xi, phi ** 5)
     if model == "weber":
         x, y = coords
         return y ** 5 * (x - 1) - (x + 1) * x ** 2

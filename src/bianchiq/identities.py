@@ -184,7 +184,7 @@ def _first_nonzero(residuals, through: Fraction):
             raise ArithmeticError(
                 f"residual known only to q^{r.order}, need beyond q^{through}; raise the slack"
             )
-        lead = next((e for e, _ in r.terms()), None)
+        lead = None if r.is_zero() else r.valuation()
         if lead is not None and lead <= through and (worst is None or lead < worst):
             worst = lead
     return worst
@@ -223,8 +223,7 @@ def _defeq_gamma10(g1, t, d):
 
 
 def _hulek_craig(phi, g1, g2, g3):
-    phi3 = phi ** 3
-    return [curve.plane_model_residual("hulek_craig", (phi3 + phi3 / g, phi, g)) for g in (g1, g2, g3)]
+    return [curve.plane_model_residual("hulek_craig", p[:3]) for p in curve.two_torsion_from_roots(phi, (g1, g2, g3))]
 
 
 def _bring2_subst(phi, g1, g2, g3):
@@ -272,7 +271,7 @@ _EXACT_SERIES = {
     "G2-defeq": (("phi5", "delta"), lambda t, d: [(d / 2) ** 2 + t ** 3 + 11 * t ** 2 - t], "delta",
                  "Y^2=X^3-11X^2-X at X=-phi^5, Y=delta/2"),
     # the cubic field equation of the genus-4 group, the cubic at (Y, X^5) = (g1, phi^5)
-    "bring-kk": (("phi", "g1"), lambda phi, g1: [curve.plane_model_residual("kk", (g1,), phi)], "phi",
+    "bring-kk": (("phi", "g1"), lambda phi, g1: [curve.cubic(g1, phi ** 5)], "phi",
                  "cubic field equation at X=phi, Y=g1"),
     "genus5-defeq": (("phi5", "delta"), lambda t, d: [(d / 2) ** 2 - t * curve.disc_factor(t)], "delta",
                      "Y^2=X^5(1-11X^5-X^10) at X=phi, Y=delta/2"),
@@ -414,8 +413,7 @@ def duplication_uniform_sign(tau: complex = 1.3j, z: complex = 0.21 + 0.11j) -> 
     x = theta.theta_vector(z, tau)
     x2 = theta.theta_vector(2 * z, tau)
     n = theta.nullwerte(tau)
-    rhs = x[2] * x[1] ** 3 - x[4] ** 3 * x[3]
-    with2 = rhs / (n[2] ** 3 * x2[0])
+    with2 = curve.double_cubic(x)[0] / (n[2] ** 3 * x2[0])
     return 1 if abs(with2 - 1) < 0.5 else -1
 
 

@@ -64,7 +64,7 @@ def phi_series(order) -> PuiseuxSeries:
 
 def eta_series(order) -> PuiseuxSeries:
     """Dedekind eta: q^(1/24) prod (1-q^n)."""
-    return pochhammer_product([(0, 1, 1)], Fraction(1, 24), _checked("eta", order))
+    return eta_quotient_series([(1, 1)], _checked("eta", order))
 
 
 def gi_series(i: int, order) -> PuiseuxSeries:
@@ -120,7 +120,7 @@ def j_series(order) -> PuiseuxSeries:
         for n in range(d, m, d):
             sigma3[n] += cube
     e4 = PuiseuxSeries(1, 0, m, [1] + [240 * s for s in sigma3[1:]])
-    eta24 = pochhammer_product([(0, 1, 24)], Fraction(1), m)
+    eta24 = eta_quotient_series([(1, 24)], m)
     return (e4 ** 3 / eta24).truncate(order).reduce_ram()
 
 

@@ -76,8 +76,8 @@ from fractions import Fraction
 from math import ceil, floor
 from math import exp as _real_exp
 
-TRUNCATION_RATIO = 1e-30
-_WINDOW_LOG = -math.log(TRUNCATION_RATIO)
+_TRUNCATION_RATIO = 1e-30
+_WINDOW_LOG = -math.log(_TRUNCATION_RATIO)
 _MAX_WINDOW = 10**6
 # The tail check; see the module docstring.  _HEAD_LOG sets the head,
 # e^_LOG_MARGIN = 2^55 scales the bound and _FLOOR floors it; a bound whose

@@ -96,13 +96,13 @@ def test_a_layer_whose_run_is_interrupted_runs_again_at_the_next_access():
 def test_a_write_or_delete_before_any_read_outlives_the_layers_run():
     code = ("import bianchiq\n"
             "from bianchiq import theta\n"
-            "theta.TRUNCATION_RATIO = 123.0\n"
+            "theta._MAX_WINDOW = 123\n"
             "setattr(bianchiq.curve, 'ZERO_REL', 0.5)\n"
             "del bianchiq.congruence.enumerate_group\n"
-            "print(theta.TRUNCATION_RATIO, bianchiq.curve.ZERO_REL, hasattr(bianchiq.congruence, 'enumerate_group'))\n"
+            "print(theta._MAX_WINDOW, bianchiq.curve.ZERO_REL, hasattr(bianchiq.congruence, 'enumerate_group'))\n"
             "print(sorted(bianchiq._unexecuted))\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV, timeout=120)
-    assert r.stdout.splitlines() == ["123.0 0.5 False", "['bianchiq.identities', 'bianchiq.modular']"], r.stderr
+    assert r.stdout.splitlines() == ["123 0.5 False", "['bianchiq.identities', 'bianchiq.modular']"], r.stderr
 
 
 def test_the_reexports_are_the_layers_own_objects():

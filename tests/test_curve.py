@@ -27,6 +27,11 @@ def rand_tau():
     return complex(RNG.uniform(-0.5, 0.5), RNG.uniform(0.8, 2.0))
 
 
+def series_roots(order):
+    """g1, g2 and g3, the roots of the cubic at phi^5, as series."""
+    return [named_series(f"g{i}", order) for i in (1, 2, 3)]
+
+
 def series_theta_vector(v, order):
     """Exact theta coordinates of the point z = v*tau, v rational: the
     series sum_n (-1)^(n+k) q^(5(n+pt)^2/2 + 5v(n+pt)) with pt = 1/2 - k/5.
@@ -96,7 +101,7 @@ class TestQuadrics:
 
     def test_two_torsion_exact_through_30(self):
         phi = named_series("phi", 36)
-        for p in curve.two_torsion_points(phi):
+        for p in curve.two_torsion_from_roots(phi, series_roots(36)):
             for r in curve.quadric_residuals(p, phi):
                 assert r.is_zero() and r.order >= 30
 
@@ -222,7 +227,7 @@ class TestDouble:
     def test_two_torsion_doubles_to_neutral_exactly(self):
         phi = named_series("phi", 36)
         o = curve.neutral(phi)
-        for p in curve.two_torsion_points(phi):
+        for p in curve.two_torsion_from_roots(phi, series_roots(36)):
             d = curve.double(p)
             assert curve.projective_equal_series(d, o)
 
@@ -328,13 +333,27 @@ class TestCubicRoots:
         for x in curve.cubic_roots(phi):
             assert abs(curve.cubic(x, t)) <= 1e-15
 
-    def test_series_domain_returns_g(self):
-        phi = named_series("phi", 15)
-        g = curve.cubic_roots(phi)
-        assert g[0].agrees_with(named_series("g1", 15))
+    def test_series_phi_is_refused(self):
+        # roots are solved for at a complex phi only; a series phi must not
+        # come back with the g_i of some other parameter
+        for name in ("phi", "g1"):
+            phi = named_series(name, 20)
+            with pytest.raises(TypeError):
+                curve.cubic_roots(phi)
+            with pytest.raises(TypeError):
+                curve.two_torsion_points(phi)
 
 
 class TestTwoTorsion:
+    def test_points_from_roots_keep_their_bits(self):
+        rng = random.Random(2026)
+        for _ in range(20):
+            phi = phi_numeric(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0)))
+            got = curve.two_torsion_from_roots(phi, curve.cubic_roots(phi))
+            want = curve.two_torsion_points(phi)
+            assert [[struct.pack("<2d", c.real, c.imag) for c in p] for p in got] == [
+                [struct.pack("<2d", c.real, c.imag) for c in p] for p in want]
+
     def test_symmetry_by_construction(self):
         phi = phi_numeric(1.1j)
         for p in curve.two_torsion_points(phi):
@@ -342,7 +361,7 @@ class TestTwoTorsion:
 
     def test_hulek_craig_exact(self):
         phi = named_series("phi", 38)
-        for p in curve.two_torsion_points(phi):
+        for p in curve.two_torsion_from_roots(phi, series_roots(38)):
             r = curve.plane_model_residual("hulek_craig", (p[0], p[1], p[2]))
             assert r.is_zero() and r.order >= 30
 
